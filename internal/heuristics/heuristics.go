@@ -12,7 +12,11 @@
 //     earned per joule consumed.
 //   - Min-Min Completion Time: the classic two-stage heuristic (Ibarra &
 //     Kim; Braun et al.): repeatedly map the task whose best-machine
-//     completion time is globally smallest.
+//     completion time is globally smallest. Only the lowest-index unmapped
+//     task of each task type can be that task, because tasks of one type
+//     share eligible machines and ETCs and workload.Trace.Validate orders
+//     them by arrival; tracking those per-type heads costs O(n·T·M) for n
+//     tasks, T task types and M machines.
 //
 // All heuristics return allocations whose global scheduling order equals
 // the order in which they map tasks, and all run in time negligible
@@ -156,18 +160,29 @@ func BuildMaxUtilityPerEnergy(e *sched.Evaluator) *sched.Allocation {
 // BuildMinMin runs the two-stage Min-Min completion time heuristic
 // (§V-B4). Stage one finds, for every unmapped task, the machine
 // minimizing that task's completion time; stage two maps the task-machine
-// pair with the overall minimum completion time, then repeats. The global
-// scheduling order records the mapping sequence, so machines execute
-// tasks in the order Min-Min chose them.
+// pair with the overall minimum completion time (lowest task index on a
+// tie), then repeats. The global scheduling order records the mapping
+// sequence, so machines execute tasks in the order Min-Min chose them.
+//
+// Only the head of a task type — its lowest-index unmapped task — can
+// win stage two. Tasks of one type share their eligible machines and
+// ETC row, and sched.NewEvaluator admits only traces that
+// workload.Trace.Validate finds sorted by non-decreasing arrival, so a
+// head arrives no later than any other task of its type. Its completion
+// max(ready, arrival) + ETC is then no greater on every machine, and its
+// index is lower. BuildMinMin therefore keeps stage one for the heads
+// alone: O(n·T·M) for n tasks, T task types and M machines, instead of
+// the O(n²) of rescanning every unmapped task, and the same mapping
+// sequence bit for bit.
 func BuildMinMin(e *sched.Evaluator) *sched.Allocation {
 	n := e.NumTasks()
 	a := sched.NewAllocation(n)
 	tasks := e.Trace().Tasks
 	ready := make([]float64, e.NumMachines())
-	mapped := make([]bool, n)
 
-	// bestFor computes stage one for a single task.
-	bestFor := func(i int) (machine int, completion float64) {
+	// bestFor computes stage one for a single task; the first eligible
+	// machine wins ties.
+	bestFor := func(i int32) (machine int, completion float64) {
 		task := &tasks[i]
 		machine = -1
 		for _, m := range e.Eligible(task.Type) {
@@ -183,36 +198,48 @@ func BuildMinMin(e *sched.Evaluator) *sched.Allocation {
 		return
 	}
 
-	// Cache each task's stage-one result; entries are invalidated lazily
-	// when the chosen machine's ready time changes.
-	bestM := make([]int, n)
-	bestC := make([]float64, n)
-	for i := 0; i < n; i++ {
-		bestM[i], bestC[i] = bestFor(i)
+	// byType lists each type's tasks in index (= arrival) order; type t's
+	// head is byType[t][next[t]] while next[t] < len(byType[t]).
+	nt := e.System().NumTaskTypes()
+	byType := make([][]int32, nt)
+	for i := range tasks {
+		t := tasks[i].Type
+		byType[t] = append(byType[t], int32(i))
+	}
+	next := make([]int, nt)
+
+	// Cache each head's stage-one result. Mapping a task only makes its
+	// machine busier, so a head whose best machine was another one keeps
+	// an exact cached value; it is recomputed when it advances or when
+	// its best machine is the one just loaded.
+	bestM := make([]int, nt)
+	bestC := make([]float64, nt)
+	for t := range byType {
+		if len(byType[t]) > 0 {
+			bestM[t], bestC[t] = bestFor(byType[t][0])
+		}
 	}
 
 	for step := 0; step < n; step++ {
-		// Stage two: pick the globally minimal completion pair.
+		// Stage two over the heads: smallest completion, then index.
 		pick := -1
-		for i := 0; i < n; i++ {
-			if mapped[i] {
+		for t := range byType {
+			if next[t] == len(byType[t]) {
 				continue
 			}
-			if pick == -1 || bestC[i] < bestC[pick] {
-				pick = i
+			if pick == -1 || bestC[t] < bestC[pick] ||
+				(bestC[t] == bestC[pick] && byType[t][next[t]] < byType[pick][next[pick]]) {
+				pick = t
 			}
 		}
-		a.Machine[pick] = int32(bestM[pick])
-		a.Order[pick] = int32(step)
-		mapped[pick] = true
-		m := bestM[pick]
+		i, m := byType[pick][next[pick]], bestM[pick]
+		a.Machine[i] = int32(m)
+		a.Order[i] = int32(step)
 		ready[m] = bestC[pick]
-		// Recompute stage one for tasks whose cached best machine just
-		// got busier (other machines' ready times are unchanged, so their
-		// cached values remain valid lower bounds that are still exact).
-		for i := 0; i < n; i++ {
-			if !mapped[i] && bestM[i] == m {
-				bestM[i], bestC[i] = bestFor(i)
+		next[pick]++
+		for t := range byType {
+			if next[t] < len(byType[t]) && (t == pick || bestM[t] == m) {
+				bestM[t], bestC[t] = bestFor(byType[t][next[t]])
 			}
 		}
 	}

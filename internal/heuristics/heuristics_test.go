@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tradeoff/internal/data"
+	"tradeoff/internal/datagen"
 	"tradeoff/internal/rng"
 	"tradeoff/internal/sched"
 	"tradeoff/internal/workload"
@@ -212,8 +213,34 @@ func BenchmarkMinEnergy250(b *testing.B) { benchHeuristic(b, MinEnergy, 250) }
 func BenchmarkMaxUtility250(b *testing.B) {
 	benchHeuristic(b, MaxUtility, 250)
 }
-func BenchmarkMinMin250(b *testing.B)  { benchHeuristic(b, MinMin, 250) }
-func BenchmarkMinMin1000(b *testing.B) { benchHeuristic(b, MinMin, 1000) }
+func BenchmarkMinMin250(b *testing.B) { benchHeuristic(b, MinMin, 250) }
+
+// BenchmarkMinMin1k and BenchmarkMinMin10k seed the same synthetic
+// 30x13 instances the scale data sets use (datagen.Instance, seed 1).
+func BenchmarkMinMin1k(b *testing.B) { benchMinMinInstance(b, 1000) }
+func BenchmarkMinMin10k(b *testing.B) {
+	if testing.Short() {
+		b.Skip("10k-task instance skipped in -short mode")
+	}
+	benchMinMinInstance(b, 10000)
+}
+
+func benchMinMinInstance(b *testing.B, n int) {
+	sys, tr, err := datagen.Instance(data.RealSystem(), datagen.Default(), n, 0, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := sched.NewEvaluator(sys, tr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if a := BuildMinMin(e); len(a.Order) != n {
+			b.Fatalf("allocation covers %d of %d tasks", len(a.Order), n)
+		}
+	}
+}
 
 func benchHeuristic(b *testing.B, h Heuristic, n int) {
 	e := newEval(b, n)

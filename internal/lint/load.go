@@ -138,7 +138,7 @@ func (l *loader) importLocal(path string) (*types.Package, error) {
 		return nil, fmt.Errorf("no buildable Go files in %s", dir)
 	}
 	info := newInfo()
-	pkg, err := l.check(path, files, info)
+	pkg, err := l.check(path, files, info, l)
 	if err != nil {
 		return nil, err
 	}
@@ -147,10 +147,27 @@ func (l *loader) importLocal(path string) (*types.Package, error) {
 	return pkg, nil
 }
 
-// check runs the type checker over one file group.
-func (l *loader) check(path string, files []*ast.File, info *types.Info) (*types.Package, error) {
+// testImporter resolves one import path to a package's test build and
+// delegates every other import to the loader.
+type testImporter struct {
+	l    *loader
+	path string
+	pkg  *types.Package
+}
+
+// Import implements types.Importer.
+func (ti testImporter) Import(path string) (*types.Package, error) {
+	if path == ti.path {
+		return ti.pkg, nil
+	}
+	return ti.l.Import(path)
+}
+
+// check runs the type checker over one file group, resolving imports
+// through imp.
+func (l *loader) check(path string, files []*ast.File, info *types.Info, imp types.Importer) (*types.Package, error) {
 	conf := types.Config{
-		Importer: l,
+		Importer: imp,
 		Sizes:    types.SizesFor("gc", "amd64"),
 	}
 	pkg, err := conf.Check(path, l.fset, files, info)
@@ -371,13 +388,15 @@ func (l *loader) loadDir(dir string) ([]*Unit, error) {
 			external = append(external, f)
 		}
 	}
+	var testPkg *types.Package
 	if len(inPkg) > 0 {
 		all := append(append([]*ast.File{}, lib...), inPkg...)
 		info := newInfo()
-		pkg, err := l.check(pkgPath, all, info)
+		pkg, err := l.check(pkgPath, all, info, l)
 		if err != nil {
 			return nil, err
 		}
+		testPkg = pkg
 		units = append(units, &Unit{
 			PkgPath:  pkgPath + " [tests]",
 			RelDir:   relDir,
@@ -388,8 +407,15 @@ func (l *loader) loadDir(dir string) ([]*Unit, error) {
 		})
 	}
 	if len(external) > 0 {
+		// As under go test, the external package imports the package
+		// under test with its in-package test files, so helpers that an
+		// export_test.go file exports resolve.
+		var imp types.Importer = l
+		if testPkg != nil {
+			imp = testImporter{l: l, path: pkgPath, pkg: testPkg}
+		}
 		info := newInfo()
-		pkg, err := l.check(pkgPath+"_test", external, info)
+		pkg, err := l.check(pkgPath+"_test", external, info, imp)
 		if err != nil {
 			return nil, err
 		}

@@ -154,6 +154,27 @@ func TestLoadDirThreeUnits(t *testing.T) {
 	}
 }
 
+// TestLoadDirExternalTestSeesExportTest: an external test package
+// imports the package under test together with its in-package test
+// files, as under go test, so a helper exported from export_test.go
+// type-checks.
+func TestLoadDirExternalTestSeesExportTest(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"go.mod":              "module exportmod\n",
+		"ex/ex.go":            "package ex\n\nfunc double(n int) int { return 2 * n }\n",
+		"ex/export_test.go":   "package ex\n\n// Double exposes double to the external tests.\nfunc Double(n int) int { return double(n) }\n",
+		"ex/ex_other_test.go": "package ex_test\n\nimport \"exportmod/ex\"\n\nvar _ = ex.Double(2)\n",
+	})
+	mod, err := LoadDir(filepath.Join(root, "ex"))
+	if err != nil {
+		t.Fatalf("LoadDir: %v", err)
+	}
+	want := []string{"exportmod/ex", "exportmod/ex [tests]", "exportmod/ex_test"}
+	if got := pkgPaths(mod); !equalStrings(got, want) {
+		t.Fatalf("units = %v, want %v", got, want)
+	}
+}
+
 // TestLoadDirRecursive: LoadDir loads the whole subtree, so
 // multi-package fixture trees (a conf package plus a cmd/ main) land in
 // one Module with cross-package imports resolved to shared objects.

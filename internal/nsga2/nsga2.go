@@ -30,6 +30,7 @@ package nsga2
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 
@@ -540,9 +541,10 @@ type Engine struct {
 	picked      []bool
 	groupOrder  []int
 	crowdOrd    crowdOrderSorter
-	workerSrc   []rng.Source // reseeded per offspring pair
-	varScratch  [][]int32    // per-worker repair scratch (first child's histogram)
-	varScratch2 [][]int32    // second child's histogram, alive at the same time
+	workerSrc   []rng.Source   // reseeded per offspring pair
+	varScratch  [][]int32      // per-worker repair scratch (first child's histogram)
+	varScratch2 [][]int32      // second child's histogram, alive at the same time
+	fanPanics   []*WorkerPanic // per-worker panic captured by fanout
 
 	// Per-offspring evaluation scratch. slots[i] is offspring i's
 	// execution-order slot array (sched.PackSlot per scheduling
@@ -1003,32 +1005,17 @@ func (e *Engine) varyAll(genSeed, genStream uint64, pairs int) {
 		}
 		return
 	}
-	var wg sync.WaitGroup
-	chunk := (pairs + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= pairs {
-			break
+	e.fanout(pairs, func(w, lo, hi int) {
+		src := &e.workerSrc[w]
+		for k := lo; k < hi; k++ {
+			src.Reseed(genSeed, genStream+uint64(k))
+			// varyPair writes only pair k's offspring/arena slots and
+			// worker w's scratch; disjoint per worker, and proven
+			// worker-invariant by TestWorkerCountInvariance.
+			//detlint:allow sharedstate per-pair slots are disjoint across workers
+			e.varyPair(k, src, e.varScratch[w], e.varScratch2[w])
 		}
-		hi := lo + chunk
-		if hi > pairs {
-			hi = pairs
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			src := &e.workerSrc[w]
-			for k := lo; k < hi; k++ {
-				src.Reseed(genSeed, genStream+uint64(k))
-				// varyPair writes only pair k's offspring/arena slots and
-				// worker w's scratch; disjoint per goroutine, and proven
-				// worker-invariant by TestWorkerCountInvariance.
-				//detlint:allow sharedstate per-pair slots are disjoint across workers
-				e.varyPair(k, src, e.varScratch[w], e.varScratch2[w])
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
+	})
 }
 
 // varyPair produces offspring 2k and 2k+1 from parents 2k and 2k+1 in
@@ -1293,7 +1280,11 @@ func (e *Engine) mutateWith(a *sched.Allocation, slots []uint64, counts []int32,
 }
 
 // fanout partitions [0, count) across the configured workers and invokes
-// fn once per non-empty chunk with a dedicated worker id.
+// fn once per non-empty chunk with a dedicated worker id. A panic in a
+// worker goroutine is captured; once every worker has returned, the
+// lowest-numbered worker's panic is re-raised on the calling goroutine
+// as a *WorkerPanic, where the caller can recover it. The engine must
+// not be stepped again after such a panic.
 func (e *Engine) fanout(count int, fn func(worker, lo, hi int)) {
 	workers := e.cfg.Workers
 	if workers > count {
@@ -1302,6 +1293,9 @@ func (e *Engine) fanout(count int, fn func(worker, lo, hi int)) {
 	if workers <= 1 {
 		fn(0, 0, count)
 		return
+	}
+	if len(e.fanPanics) < workers {
+		e.fanPanics = make([]*WorkerPanic, workers)
 	}
 	var wg sync.WaitGroup
 	chunk := (count + workers - 1) / workers
@@ -1317,10 +1311,39 @@ func (e *Engine) fanout(count int, fn func(worker, lo, hi int)) {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					e.fanPanics[w] = &WorkerPanic{Worker: w, Value: r, Stack: debug.Stack()}
+				}
+			}()
 			fn(w, lo, hi)
 		}(w, lo, hi)
 	}
 	wg.Wait()
+	var first *WorkerPanic
+	for w, p := range e.fanPanics[:workers] {
+		if p != nil && first == nil {
+			first = p
+		}
+		e.fanPanics[w] = nil
+	}
+	if first != nil {
+		panic(first)
+	}
+}
+
+// WorkerPanic is a panic raised inside an engine's fan-out worker,
+// re-raised on the goroutine that started the fan-out. Value is the
+// worker's original panic value and Stack the worker goroutine's stack
+// when it panicked.
+type WorkerPanic struct {
+	Worker int
+	Value  any
+	Stack  []byte
+}
+
+func (p *WorkerPanic) Error() string {
+	return fmt.Sprintf("nsga2: fan-out worker %d panicked: %v\n\nworker goroutine stack:\n%s", p.Worker, p.Value, p.Stack)
 }
 
 // probeCache looks every offspring's fingerprint up in the fitness
