@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt lint test race bench-smoke bench-record bench-diff bench-evaluate bench-dedup bench-dedup-record bench-typed bench-typed-record bench-scale bench-scale-record bench-dist bench-dist-record dist-smoke trace-smoke check
+.PHONY: all build vet fmt lint test race bench-smoke bench-record bench-diff bench-evaluate bench-typed bench-typed-record bench-scale bench-scale-record bench-dist bench-dist-record dist-smoke trace-smoke check
 
 # Benchmarks guarded by the >10% regression gate (cmd/benchdiff against
 # BENCH_step.json): generation cost, front extraction, and the
@@ -56,40 +56,25 @@ bench-diff:
 	$(GO) run ./cmd/benchdiff -stat median BENCH_step.json /tmp/bench_new.txt
 
 # Evaluation-kernel slice of the regression gate: the task-major session
-# sweep and the machine-major full evaluation on the large traces.
+# sweep and the engine's slot-order evaluation on the large traces.
 bench-evaluate:
 	$(GO) test -run '^$$' -bench 'BenchmarkEvaluate' -benchtime 500ms -count 3 -benchmem . > /tmp/bench_eval.txt
 	$(GO) run ./cmd/benchdiff -stat median BENCH_step.json /tmp/bench_eval.txt
 
-# Fitness-memoization slice of the regression gate (DESIGN.md §11):
-# cached vs uncached generation cost in the regimes where the
-# fingerprint cache matters, compared against BENCH_dedup.json. The
-# looser threshold absorbs host-level variance on shared runners while
-# still catching structural regressions (an allocation reintroduced on
-# the insert path, a probe-window blowup).
-bench-dedup:
-	$(GO) test -run '^$$' -bench BenchmarkDedup -benchtime 300ms -count 3 -benchmem . > /tmp/bench_dedup.txt
-	$(GO) run ./cmd/benchdiff -stat median -threshold 0.30 BENCH_dedup.json /tmp/bench_dedup.txt
-
-# Typed-kernel slice of the regression gate (DESIGN.md §12): the
-# kernel/machine-cache ablation twins plus the datagen-synthesized
-# 50k-task generation, compared against BENCH_typed.json. benchdiff's
-# -bench filter scopes the diff to this slice so the shared exit-code
-# contract still applies; the threshold matches bench-dedup's for the
-# same shared-runner-variance reason.
+# Long-queue slice of the regression gate (DESIGN.md §12): one
+# generation over the datagen-synthesized 50k-task trace, compared
+# against BENCH_typed.json. benchdiff's -bench filter scopes the diff to
+# this slice so the shared exit-code contract still applies; the looser
+# threshold absorbs host-level variance on shared runners while still
+# catching structural regressions.
 bench-typed:
 	$(GO) test -run '^$$' -bench BenchmarkTypedStep -benchtime 300ms -count 3 -benchmem . > /tmp/bench_typed.txt
 	$(GO) run ./cmd/benchdiff -stat median -threshold 0.30 -bench BenchmarkTypedStep BENCH_typed.json /tmp/bench_typed.txt
 
-# Refresh the typed-kernel baseline after an intentional kernel change.
+# Refresh the long-queue baseline after an intentional kernel change.
 bench-typed-record:
 	$(GO) test -run '^$$' -bench BenchmarkTypedStep -benchtime 300ms -count 3 -benchmem . | tee /tmp/bench_typed.txt
 	$(GO) run ./cmd/benchdiff -bench BenchmarkTypedStep -record BENCH_typed.json /tmp/bench_typed.txt
-
-# Refresh the dedup baseline after an intentional cache change.
-bench-dedup-record:
-	$(GO) test -run '^$$' -bench BenchmarkDedup -benchtime 300ms -count 3 -benchmem . | tee /tmp/bench_dedup.txt
-	$(GO) run ./cmd/benchdiff -record BENCH_dedup.json /tmp/bench_dedup.txt
 
 # Scale slice of the regression gate: paper-sized populations stepping
 # over datagen-synthesized 50k/200k-task instances plus the 200k-point
@@ -147,4 +132,4 @@ trace-smoke:
 	$(GO) run ./cmd/tracecheck /tmp/trace_smoke.jsonl
 	$(GO) run ./cmd/tracestat -json /tmp/trace_smoke.jsonl > /dev/null
 
-check: build vet fmt lint race bench-smoke bench-dedup bench-typed bench-dist dist-smoke trace-smoke
+check: build vet fmt lint race bench-smoke bench-typed bench-dist dist-smoke trace-smoke

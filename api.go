@@ -239,7 +239,7 @@ func NewSystemBuilder() *SystemBuilder { return hcs.NewBuilder() }
 
 // Observability. Attach an Observer via Options.Observer to receive
 // per-generation telemetry (front points, convergence indicators,
-// delta-evaluation counters) and island migration events. Observation
+// evaluation counters) and island migration events. Observation
 // never consumes randomness and never changes results bit-for-bit.
 type (
 	// Observer receives telemetry events from an optimization run.

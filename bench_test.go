@@ -248,8 +248,7 @@ func BenchmarkObservedWithFlightRecorder(b *testing.B) {
 }
 
 // Generation cost on the large traces, where per-offspring evaluation
-// dominates and the machine-major kernel with delta inheritance pays
-// off.
+// dominates.
 func BenchmarkStepPop100Tasks1000(b *testing.B) { benchStepLarge(b, 2) }
 func BenchmarkStepPop100Tasks4000(b *testing.B) { benchStepLarge(b, 3) }
 
@@ -270,34 +269,11 @@ func benchStepLarge(b *testing.B, dsNum int) {
 	}
 }
 
-// Typed-kernel and machine-cache ablation twins on the 4000-task trace:
-// the same generation loop as BenchmarkStepPop100Tasks4000 with each
-// level toggled independently, so benchdiff can attribute a regression
-// to the kernel or to the bucket cache rather than to the step as a
-// whole. All four configurations produce bit-identical populations —
-// only the speed may differ.
-func BenchmarkTypedStepKernelTyped(b *testing.B) {
-	benchStepConfigured(b, 3, func(c *nsga2.Config) { c.Kernel = sched.KernelTyped })
-}
-
-func BenchmarkTypedStepKernelScalar(b *testing.B) {
-	benchStepConfigured(b, 3, func(c *nsga2.Config) { c.Kernel = sched.KernelScalar })
-}
-
-func BenchmarkTypedStepMachineCacheOn(b *testing.B) {
-	benchStepConfigured(b, 3, func(c *nsga2.Config) { c.MachineCacheCapacity = 0 })
-}
-
-func BenchmarkTypedStepMachineCacheOff(b *testing.B) {
-	benchStepConfigured(b, 3, func(c *nsga2.Config) { c.MachineCacheCapacity = -1 })
-}
-
 // BenchmarkTypedStep50kTasks measures one generation over a
 // datagen-synthesized 50 000-task trace on an enlarged heterogeneous
-// system — the scale where the typed kernel's run-length compression
-// and the machine-bucket cache have long queues to work with, unlike
-// the paper traces' short ones. Skipped under -short: building the
-// trace and one warm-up generation cost seconds.
+// system — the scale where machine queues are long, unlike the paper
+// traces' short ones. Skipped under -short: building the trace and one
+// warm-up generation cost seconds.
 func BenchmarkTypedStep50kTasks(b *testing.B) {
 	if testing.Short() {
 		b.Skip("50k-task trace synthesis is too slow for -short")
@@ -316,25 +292,6 @@ func BenchmarkTypedStep50kTasks(b *testing.B) {
 		b.Fatal(err)
 	}
 	eng, err := nsga2.New(ev, nsga2.Config{PopulationSize: 20}, rng.New(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng.Step() // size the arena and scratch before measuring
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Step()
-	}
-}
-
-func benchStepConfigured(b *testing.B, dsNum int, mod func(*nsga2.Config)) {
-	ds, err := experiments.ByNumber(dsNum, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := nsga2.Config{PopulationSize: 100}
-	mod(&cfg)
-	eng, err := nsga2.New(ds.Evaluator, cfg, rng.New(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -402,25 +359,25 @@ func benchEvaluate(b *testing.B, dsNum int) {
 	_ = sink
 }
 
-// Machine-major full-evaluation kernel on the 1000- and 4000-task
-// traces: the per-offspring simulation cost inside the NSGA-II engine
-// (compiled TUF table + transposed execution-time/energy rows).
-func BenchmarkEvaluate1000(b *testing.B) { benchEvaluateFull(b, 2) }
-func BenchmarkEvaluate4000(b *testing.B) { benchEvaluateFull(b, 3) }
+// Slot-order evaluation kernel on the 1000- and 4000-task traces: the
+// per-offspring simulation cost inside the NSGA-II engine, which walks
+// the execution-order slot array variation already built.
+func BenchmarkEvaluate1000(b *testing.B) { benchEvaluateSlots(b, 2) }
+func BenchmarkEvaluate4000(b *testing.B) { benchEvaluateSlots(b, 3) }
 
-func benchEvaluateFull(b *testing.B, dsNum int) {
+func benchEvaluateSlots(b *testing.B, dsNum int) {
 	ds, err := experiments.ByNumber(dsNum, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	dsess := ds.Evaluator.NewDeltaSession()
-	contribs := ds.Evaluator.NewContribs()
-	a := ds.Evaluator.RandomAllocation(rng.New(2))
+	sess := ds.Evaluator.NewSlotSession()
+	slots := make([]uint64, ds.Evaluator.NumTasks())
+	sched.ScatterSlots(ds.Evaluator.RandomAllocation(rng.New(2)), slots)
 	var sink sched.Evaluation
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink = dsess.EvaluateFull(a, contribs)
+		sink = sess.EvaluateSlots(slots)
 	}
 	_ = sink
 }

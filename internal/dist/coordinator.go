@@ -18,9 +18,9 @@ type CoordinatorConfig struct {
 	Islands           int
 	MigrationInterval int
 	Migrants          int
-	// PopulationSize is the per-island population (for the aggregated
-	// stats events); NumMachines sizes cache-capacity context the same
-	// way the in-process island model reports it.
+	// PopulationSize is the per-island population and NumMachines the
+	// machine count, reported in the aggregated stats events the same
+	// way the in-process island model reports them.
 	PopulationSize int
 	NumMachines    int
 	// Observer, when non-nil, receives the authoritative full-ring
@@ -146,17 +146,23 @@ func (c *Coordinator) Run(generations int) error {
 	}
 
 	reports := make([]*WireReport, nw)
-	rerrs := make([]error, nw)
-	werrs := make([]error, nw)
 	fwd := make([]chan *WireElites, nw)
 	for w := range fwd {
 		fwd[w] = make(chan *WireElites, 1)
 	}
+	// The first failure tears every connection down, which makes the
+	// other readers and writers fail too ("use of closed ..."). Only
+	// that first failure names the worker at fault, so it is the one
+	// Run reports.
 	var tearOnce sync.Once
-	tear := func() {
-		for _, conn := range c.conns {
-			conn.Close() //nolint:errcheck // teardown
-		}
+	var cause error
+	tear := func(err error) {
+		tearOnce.Do(func() {
+			cause = err
+			for _, conn := range c.conns {
+				conn.Close() //nolint:errcheck // teardown
+			}
+		})
 	}
 
 	var writers sync.WaitGroup
@@ -166,13 +172,14 @@ func (c *Coordinator) Run(generations int) error {
 			defer writers.Done()
 			// After a send failure the writer keeps draining so no reader
 			// blocks on a full queue during teardown.
+			failed := false
 			for m := range fwd[w] {
-				if werrs[w] != nil {
+				if failed {
 					continue
 				}
 				if err := conn.SendElites(m); err != nil {
-					werrs[w] = fmt.Errorf("dist: forward to worker %d: %w", w, err)
-					tearOnce.Do(tear)
+					failed = true
+					tear(fmt.Errorf("dist: forward to worker %d: %w", w, err))
 				}
 			}
 		}(w, c.conns[w])
@@ -186,23 +193,20 @@ func (c *Coordinator) Run(generations int) error {
 			for {
 				typ, payload, err := conn.Next()
 				if err != nil {
-					rerrs[w] = fmt.Errorf("dist: worker %d: %w", w, err)
-					tearOnce.Do(tear)
+					tear(fmt.Errorf("dist: worker %d: %w", w, err))
 					return
 				}
 				switch typ {
 				case MsgElites:
 					m, err := DecodeElites(payload)
 					if err != nil {
-						rerrs[w] = fmt.Errorf("dist: worker %d: %w", w, err)
-						tearOnce.Do(tear)
+						tear(fmt.Errorf("dist: worker %d: %w", w, err))
 						return
 					}
 					from := int(m.From)
 					if from+1 != c.hi[w] {
-						rerrs[w] = fmt.Errorf("dist: worker %d sent elites from island %d, boundary is %d",
-							w, from, c.hi[w]-1)
-						tearOnce.Do(tear)
+						tear(fmt.Errorf("dist: worker %d sent elites from island %d, boundary is %d",
+							w, from, c.hi[w]-1))
 						return
 					}
 					dest := c.owner((from + 1) % c.cfg.Islands)
@@ -211,8 +215,7 @@ func (c *Coordinator) Run(generations int) error {
 				case MsgReport:
 					m, err := DecodeReport(payload)
 					if err != nil {
-						rerrs[w] = fmt.Errorf("dist: worker %d: %w", w, err)
-						tearOnce.Do(tear)
+						tear(fmt.Errorf("dist: worker %d: %w", w, err))
 					} else {
 						reports[w] = m
 					}
@@ -220,17 +223,15 @@ func (c *Coordinator) Run(generations int) error {
 				case MsgAbort:
 					m, err := DecodeAbort(payload)
 					if err != nil {
-						rerrs[w] = fmt.Errorf("dist: worker %d: %w", w, err)
+						tear(fmt.Errorf("dist: worker %d: %w", w, err))
 					} else {
-						rerrs[w] = fmt.Errorf("dist: worker %d aborted: %s", w, m.Msg)
+						tear(fmt.Errorf("dist: worker %d aborted: %s", w, m.Msg))
 					}
-					tearOnce.Do(tear)
 					return
 				case MsgHello, MsgRestore, MsgRestored, MsgRun, MsgFrontReq, MsgFront,
 					MsgSnapshotReq, MsgSnapshot, MsgExit:
-					rerrs[w] = &WireError{Frame: conn.dec.Frame(), Msg: typ,
-						Err: fmt.Errorf("from running worker %d: %w", w, ErrUnexpectedMessage)}
-					tearOnce.Do(tear)
+					tear(&WireError{Frame: conn.dec.Frame(), Msg: typ,
+						Err: fmt.Errorf("from running worker %d: %w", w, ErrUnexpectedMessage)})
 					return
 				}
 			}
@@ -243,15 +244,8 @@ func (c *Coordinator) Run(generations int) error {
 	}
 	writers.Wait()
 
-	for w := 0; w < nw; w++ {
-		if rerrs[w] != nil {
-			return c.fail(rerrs[w])
-		}
-	}
-	for w := 0; w < nw; w++ {
-		if werrs[w] != nil {
-			return c.fail(werrs[w])
-		}
+	if cause != nil {
+		return c.fail(cause)
 	}
 	for w, rep := range reports {
 		if len(rep.Ticks) != nticks {

@@ -14,7 +14,9 @@ import (
 	"os/exec"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"tradeoff/internal/moea"
 	"tradeoff/internal/nsga2"
@@ -269,5 +271,42 @@ func TestProcSnapshotHandoff(t *testing.T) {
 	cl.stop(t)
 	if !sameIndividuals(nsga2.MergeFronts(moea.UtilityEnergySpace(), union), wantFront) {
 		t.Error("in-process → process resume diverged from the unbroken run")
+	}
+}
+
+// TestProcKilledWorkerIsNamed: SIGKILLing one worker process mid-run
+// makes Run fail with an error that names that worker — not a sibling
+// whose connection the coordinator's teardown closed — and never hangs.
+func TestProcKilledWorkerIsNamed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("forks worker processes")
+	}
+	const tasks, seed = 60, 5
+	cfg := distCfg(4, 2, 1, 8)
+	for victim := 0; victim < 2; victim++ {
+		cl := startProcCluster(t, 0, tasks, cfg, seed, 2, nil)
+		done := make(chan error, 1)
+		// Far more generations than the kill leaves time for (about 5 s).
+		go func(coord *Coordinator) { done <- coord.Run(100000) }(cl.coord)
+		time.Sleep(200 * time.Millisecond) // let the run get going
+		cl.procs[victim].Kill()
+		var err error
+		select {
+		case err = <-done:
+		case <-time.After(60 * time.Second):
+			t.Fatalf("victim %d: Run hung after a worker was killed", victim)
+		}
+		for _, p := range cl.procs {
+			p.Kill()
+			p.Wait() //nolint:errcheck // killed on purpose
+		}
+		if err == nil {
+			t.Fatalf("victim %d: Run succeeded after a worker was killed", victim)
+		}
+		want := fmt.Sprintf("worker %d", victim)
+		other := fmt.Sprintf("worker %d", 1-victim)
+		if msg := err.Error(); !strings.Contains(msg, want) || strings.Contains(msg, other) {
+			t.Fatalf("victim %d: error %q does not name %s alone", victim, msg, want)
+		}
 	}
 }

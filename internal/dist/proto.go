@@ -34,14 +34,9 @@ type WireElites struct {
 // WireShardTick is one island's counter shard at one logical tick —
 // the flat wire image of nsga2.ShardTick.
 type WireShardTick struct {
-	FullEvals, DeltaEvals                                       uint64
-	MachinesSimulated, MachinesInherited, TypedTasks, TypedRuns uint64
-	CacheHits, CacheMisses, CacheEvictions                      uint64
-	CacheSize, CacheCapacity                                    int64
-	MachineCacheHits, MachineCacheMisses, MachineCacheEvictions uint64
-	MachineCacheSize, MachineCacheCapacity                      int64
-	ArenaInUse, ArenaSlots                                      int64
-	Migrants                                                    int64
+	Evals, Machines, Tasks uint64
+	ArenaInUse, ArenaSlots int64
+	Migrants               int64
 }
 
 // WireHello is the worker handshake: version, shard geometry, the
@@ -173,24 +168,15 @@ func readIndividual(r *wireReader) WireIndividual {
 	return ind
 }
 
-// appendTick encodes one counter shard (19 fixed u64 slots).
+// tickWords is the number of fixed u64 slots one counter shard
+// encodes to.
+const tickWords = 6
+
+// appendTick encodes one counter shard (tickWords fixed u64 slots).
 func appendTick(b []byte, ts *WireShardTick) []byte {
-	b = appendU64(b, ts.FullEvals)
-	b = appendU64(b, ts.DeltaEvals)
-	b = appendU64(b, ts.MachinesSimulated)
-	b = appendU64(b, ts.MachinesInherited)
-	b = appendU64(b, ts.TypedTasks)
-	b = appendU64(b, ts.TypedRuns)
-	b = appendU64(b, ts.CacheHits)
-	b = appendU64(b, ts.CacheMisses)
-	b = appendU64(b, ts.CacheEvictions)
-	b = appendU64(b, uint64(ts.CacheSize))
-	b = appendU64(b, uint64(ts.CacheCapacity))
-	b = appendU64(b, ts.MachineCacheHits)
-	b = appendU64(b, ts.MachineCacheMisses)
-	b = appendU64(b, ts.MachineCacheEvictions)
-	b = appendU64(b, uint64(ts.MachineCacheSize))
-	b = appendU64(b, uint64(ts.MachineCacheCapacity))
+	b = appendU64(b, ts.Evals)
+	b = appendU64(b, ts.Machines)
+	b = appendU64(b, ts.Tasks)
 	b = appendU64(b, uint64(ts.ArenaInUse))
 	b = appendU64(b, uint64(ts.ArenaSlots))
 	b = appendU64(b, uint64(ts.Migrants))
@@ -200,22 +186,9 @@ func appendTick(b []byte, ts *WireShardTick) []byte {
 // readTick decodes one counter shard.
 func readTick(r *wireReader) WireShardTick {
 	var ts WireShardTick
-	ts.FullEvals = r.u64()
-	ts.DeltaEvals = r.u64()
-	ts.MachinesSimulated = r.u64()
-	ts.MachinesInherited = r.u64()
-	ts.TypedTasks = r.u64()
-	ts.TypedRuns = r.u64()
-	ts.CacheHits = r.u64()
-	ts.CacheMisses = r.u64()
-	ts.CacheEvictions = r.u64()
-	ts.CacheSize = int64(r.u64())
-	ts.CacheCapacity = int64(r.u64())
-	ts.MachineCacheHits = r.u64()
-	ts.MachineCacheMisses = r.u64()
-	ts.MachineCacheEvictions = r.u64()
-	ts.MachineCacheSize = int64(r.u64())
-	ts.MachineCacheCapacity = int64(r.u64())
+	ts.Evals = r.u64()
+	ts.Machines = r.u64()
+	ts.Tasks = r.u64()
 	ts.ArenaInUse = int64(r.u64())
 	ts.ArenaSlots = int64(r.u64())
 	ts.Migrants = int64(r.u64())
@@ -225,7 +198,7 @@ func readTick(r *wireReader) WireShardTick {
 // readTicks decodes a u32-counted run of counter shards.
 func readTicks(r *wireReader) []WireShardTick {
 	n := int(r.u32())
-	if r.short || n < 0 || n > r.remaining()/(19*8) {
+	if r.short || n < 0 || n > r.remaining()/(tickWords*8) {
 		r.short = true
 		return nil
 	}

@@ -59,6 +59,15 @@ func StartWorkers(n int, onBytes func(int), command func(worker int) *exec.Cmd) 
 		// can be close-on-exec here in the parent.
 		syscall.CloseOnExec(fds[0])
 		syscall.CloseOnExec(fds[1])
+		// A non-blocking parent end makes the os.File pollable, so closing
+		// it wakes a reader blocked on it. The coordinator relies on that
+		// to tear a run down when one worker dies while the others are
+		// blocked waiting for it. The child's end stays blocking.
+		if err := syscall.SetNonblock(fds[0], true); err != nil {
+			syscall.Close(fds[0]) //nolint:errcheck // teardown
+			syscall.Close(fds[1]) //nolint:errcheck // teardown
+			return fail(fmt.Errorf("dist: socketpair: %w", err))
+		}
 		parentEnd := os.NewFile(uintptr(fds[0]), "dist-parent")
 		childEnd := os.NewFile(uintptr(fds[1]), "dist-worker")
 		cmd := command(w)

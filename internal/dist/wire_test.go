@@ -91,8 +91,8 @@ func sampleHello() *WireHello {
 		Version: WireVersion, Worker: 1, Workers: 2,
 		Islands: 4, Lo: 2, Hi: 4, Generation: 50,
 		Baselines: []WireShardTick{
-			{FullEvals: 10, CacheHits: 3, ArenaSlots: 8, Migrants: 2},
-			{DeltaEvals: 7, MachineCacheMisses: 1, CacheCapacity: 16},
+			{Evals: 10, Tasks: 3, ArenaSlots: 8, Migrants: 2},
+			{Machines: 7, ArenaInUse: 1},
 		},
 	}
 }
@@ -118,8 +118,8 @@ func TestWireRoundTrips(t *testing.T) {
 	}}
 	report := &WireReport{
 		Ticks: [][]WireShardTick{
-			{{FullEvals: 1}, {FullEvals: 2}},
-			{{FullEvals: 3, Migrants: 2}, {TypedRuns: 4}},
+			{{Evals: 1}, {Evals: 2}},
+			{{Evals: 3, Migrants: 2}, {Tasks: 4}},
 		},
 		StallNanos: 12345,
 	}
@@ -291,7 +291,7 @@ func TestWireTruncatedPayloads(t *testing.T) {
 			func(p []byte) error { _, err := DecodeElites(p); return err }},
 		{"report", MsgReport,
 			func(e *Encoder) error {
-				return e.EncodeReport(&WireReport{Ticks: [][]WireShardTick{{{FullEvals: 9}}}, StallNanos: 5})
+				return e.EncodeReport(&WireReport{Ticks: [][]WireShardTick{{{Evals: 9}}}, StallNanos: 5})
 			},
 			func(p []byte) error { _, err := DecodeReport(p); return err }},
 		{"front", MsgFront,
@@ -445,7 +445,7 @@ func FuzzWireCodec(f *testing.F) {
 		}})
 	})
 	seed(func(e *Encoder) error {
-		return e.EncodeReport(&WireReport{Ticks: [][]WireShardTick{{{FullEvals: 1}, {DeltaEvals: 2}}}, StallNanos: 7})
+		return e.EncodeReport(&WireReport{Ticks: [][]WireShardTick{{{Evals: 1}, {Machines: 2}}}, StallNanos: 7})
 	})
 	seed(func(e *Encoder) error { return e.EncodeControl(MsgFrontReq) })
 	seed(func(e *Encoder) error {

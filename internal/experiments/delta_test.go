@@ -25,9 +25,12 @@ func smallDataSets(t *testing.T) []*DataSet {
 	return out
 }
 
-// TestDeltaEvaluationMatchesFullOnDataSets runs a delta-evaluation and a
-// full-evaluation engine with the same rng stream on each of the three
-// paper data sets and requires bitwise-identical Pareto fronts — the
+// TestDeltaEvaluationMatchesFullOnDataSets checks the engine's
+// incremental evaluation on each of the three paper data sets, across
+// worker counts and repair strategies: every front point must carry, bit
+// for bit, the objectives a full evaluation of its allocation gives
+// (the engine evaluates offspring from the slot arrays variation
+// maintains), and the fronts must not depend on the worker count. The
 // incremental path must be invisible on every system/trace shape, not
 // just the unit-test instances.
 func TestDeltaEvaluationMatchesFullOnDataSets(t *testing.T) {
@@ -35,22 +38,30 @@ func TestDeltaEvaluationMatchesFullOnDataSets(t *testing.T) {
 		t.Skip("full data-set construction is slow")
 	}
 	for _, ds := range smallDataSets(t) {
-		run := func(mode nsga2.Evaluation) [][]float64 {
-			eng, err := nsga2.New(ds.Evaluator, nsga2.Config{
-				PopulationSize: 20,
-				Evaluation:     mode,
-				Workers:        1,
-			}, rng.NewStream(3, hashName(ds.Name)))
-			if err != nil {
-				t.Fatal(err)
+		sess := ds.Evaluator.NewSlotSession()
+		for _, repair := range []nsga2.Repair{nsga2.RerankRepair, nsga2.ShuffleRepair} {
+			run := func(workers int) [][]float64 {
+				eng, err := nsga2.New(ds.Evaluator, nsga2.Config{
+					PopulationSize: 20,
+					Workers:        workers,
+					Repair:         repair,
+				}, rng.NewStream(3, hashName(ds.Name)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng.Run(6)
+				for _, ind := range eng.ParetoFront() {
+					full := sess.Evaluate(ind.Alloc)
+					if ind.Objectives[0] != full.Utility || ind.Objectives[1] != full.Energy {
+						t.Fatalf("%s repair=%v workers=%d: front point %v vs full evaluation (%v, %v)",
+							ds.Name, repair, workers, ind.Objectives, full.Utility, full.Energy)
+					}
+				}
+				return eng.FrontPoints()
 			}
-			eng.Run(6)
-			return eng.FrontPoints()
-		}
-		delta := run(nsga2.DeltaEvaluation)
-		full := run(nsga2.FullEvaluation)
-		if !reflect.DeepEqual(delta, full) {
-			t.Fatalf("%s: delta front diverged from full front", ds.Name)
+			if serial, parallel := run(1), run(4); !reflect.DeepEqual(serial, parallel) {
+				t.Fatalf("%s repair=%v: 4-worker front diverged from serial", ds.Name, repair)
+			}
 		}
 	}
 }

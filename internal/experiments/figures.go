@@ -55,17 +55,6 @@ type RunConfig struct {
 	Seed uint64
 	// Workers bounds evaluation parallelism (0 = GOMAXPROCS).
 	Workers int
-	// CacheCapacity bounds each engine's fitness-memoization cache
-	// (0 = engine default of 4x the population, negative = disabled).
-	// Results are bit-identical for every setting.
-	CacheCapacity int
-	// MachineCacheCapacity bounds each engine's machine-bucket
-	// memoization cache (0 = engine default, negative = disabled).
-	// Results are bit-identical for every setting.
-	MachineCacheCapacity int
-	// Kernel selects the per-machine simulation kernel
-	// (sched.KernelTyped or sched.KernelScalar; both bit-identical).
-	Kernel sched.Kernel
 	// Observer, when non-nil, receives run telemetry: per-generation
 	// events from the serial experiment engines (labeled
 	// "dataset/variant") and per-run summary events from RunRepeats.
@@ -157,13 +146,10 @@ func RunParetoFigure(ds *DataSet, cfg RunConfig) (*FigureResult, error) {
 			seeds = append(seeds, alloc)
 		}
 		eng, err := nsga2.New(ds.Evaluator, nsga2.Config{
-			PopulationSize:       cfg.PopulationSize,
-			MutationRate:         cfg.MutationRate,
-			Seeds:                seeds,
-			Workers:              cfg.Workers,
-			CacheCapacity:        cfg.CacheCapacity,
-			MachineCacheCapacity: cfg.MachineCacheCapacity,
-			Kernel:               cfg.Kernel,
+			PopulationSize: cfg.PopulationSize,
+			MutationRate:   cfg.MutationRate,
+			Seeds:          seeds,
+			Workers:        cfg.Workers,
 		}, rng.NewStream(cfg.Seed, hashName(v.Name)))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: engine for %s: %w", v.Name, err)
@@ -339,13 +325,10 @@ func RunFigure5(ds *DataSet, cfg RunConfig) (*Figure5Result, error) {
 		return nil, err
 	}
 	eng, err := nsga2.New(ds.Evaluator, nsga2.Config{
-		PopulationSize:       cfg.PopulationSize,
-		MutationRate:         cfg.MutationRate,
-		Seeds:                []*sched.Allocation{seedAlloc},
-		Workers:              cfg.Workers,
-		CacheCapacity:        cfg.CacheCapacity,
-		MachineCacheCapacity: cfg.MachineCacheCapacity,
-		Kernel:               cfg.Kernel,
+		PopulationSize: cfg.PopulationSize,
+		MutationRate:   cfg.MutationRate,
+		Seeds:          []*sched.Allocation{seedAlloc},
+		Workers:        cfg.Workers,
 	}, rng.NewStream(cfg.Seed, hashName("figure5")))
 	if err != nil {
 		return nil, err

@@ -8,6 +8,13 @@ import (
 	"tradeoff/internal/sched"
 )
 
+// The engine evaluates offspring incrementally: variation maintains each
+// child's execution-order slot array as it edits the chromosome (order
+// repair writes it as a by-product, mutation patches it in O(1)), and
+// evaluation walks that array. The tests in this file check the
+// incremental path against the full one — scattering every allocation
+// into a fresh slot array and evaluating it from scratch.
+
 // comparePopulations fails unless the two engines hold bitwise-identical
 // populations: genotypes, objectives, ranks, and crowding distances.
 func comparePopulations(t *testing.T, label string, a, b *Engine) {
@@ -34,11 +41,42 @@ func comparePopulations(t *testing.T, label string, a, b *Engine) {
 	}
 }
 
+// requireFullMatch fails unless every population member and every
+// offspring of the last Step carries, bit for bit, the objectives a full
+// evaluation of its allocation gives. Offspring that lost survivor
+// selection still hold their genes and objectives until the next Step
+// (or Inject) recycles them.
+func requireFullMatch(t *testing.T, label string, e *Engine) {
+	t.Helper()
+	requireFullMatchOf(t, label+" individual", e, e.pop)
+	requireFullMatchOf(t, label+" offspring", e, e.offspring)
+}
+
+func requireFullMatchOf(t *testing.T, label string, e *Engine, inds []Individual) {
+	t.Helper()
+	sess := e.eval.NewSlotSession()
+	for i := range inds {
+		ind := &inds[i]
+		if err := e.eval.Validate(ind.Alloc); err != nil {
+			t.Fatalf("%s %d invalid: %v", label, i, err)
+		}
+		var full Individual
+		e.problem.fill(&full, sess.Evaluate(ind.Alloc), e.space.Dim())
+		for d := range full.Objectives {
+			if ind.Objectives[d] != full.Objectives[d] {
+				t.Fatalf("%s %d objective %d: incremental %v vs full %v",
+					label, i, d, ind.Objectives[d], full.Objectives[d])
+			}
+		}
+	}
+}
+
 // TestDeltaEngineMatchesFullEngine is the engine-level bit-identity
-// property: a DeltaEvaluation engine and a FullEvaluation engine driven
-// by the same rng seed must produce identical populations generation by
-// generation, across repair strategies, selection rules, worker counts,
-// seeded populations, and idle-power evaluators.
+// property of incremental evaluation, generation by generation, across
+// repair strategies, selection rules, worker counts, seeded
+// populations, idle-power evaluators, and mutation rates up to always
+// mutating. With several workers the populations must also equal a
+// serial engine's.
 func TestDeltaEngineMatchesFullEngine(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -54,11 +92,11 @@ func TestDeltaEngineMatchesFullEngine(t *testing.T) {
 		{name: "idle-power", tasks: 60, cfg: Config{PopulationSize: 20}, idle: true},
 		{name: "seeded", tasks: 80, cfg: Config{PopulationSize: 16}, seed: true},
 		{name: "high-mutation", tasks: 40, cfg: Config{PopulationSize: 12, MutationRate: 0.9}},
-		{name: "always-diff", tasks: 60, cfg: Config{PopulationSize: 20, DeltaMaxDirtyFrac: 1}},
+		{name: "always-diff", tasks: 60, cfg: Config{PopulationSize: 20, MutationRate: 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			mkEngine := func(mode Evaluation, workers int) *Engine {
+			mkEngine := func(workers int) *Engine {
 				e := newEval(t, tc.tasks)
 				if tc.idle {
 					watts := make([]float64, e.System().NumMachineTypes())
@@ -70,7 +108,6 @@ func TestDeltaEngineMatchesFullEngine(t *testing.T) {
 					}
 				}
 				cfg := tc.cfg
-				cfg.Evaluation = mode
 				cfg.Workers = workers
 				if tc.seed {
 					cfg.Seeds = []*sched.Allocation{heuristics.BuildMinEnergy(e)}
@@ -85,67 +122,61 @@ func TestDeltaEngineMatchesFullEngine(t *testing.T) {
 			if workers == 0 {
 				workers = 1
 			}
-			delta := mkEngine(DeltaEvaluation, workers)
-			full := mkEngine(FullEvaluation, 1)
-			comparePopulations(t, tc.name+"/gen0", delta, full)
+			eng := mkEngine(workers)
+			serial := mkEngine(1)
+			requireFullMatch(t, tc.name+"/gen0", eng)
 			for gen := 1; gen <= 12; gen++ {
-				delta.Step()
-				full.Step()
-				comparePopulations(t, tc.name, delta, full)
+				eng.Step()
+				serial.Step()
+				requireFullMatch(t, tc.name, eng)
+				comparePopulations(t, tc.name, eng, serial)
 			}
 		})
 	}
 }
 
-// TestDeltaEngineMatchesFullWithInject checks the parent-cache fallback
-// for individuals entering the population mid-run.
+// TestDeltaEngineMatchesFullWithInject checks individuals entering the
+// population mid-run: they are evaluated from their allocation, and the
+// offspring bred from them afterwards from variation's slot arrays.
 func TestDeltaEngineMatchesFullWithInject(t *testing.T) {
-	delta := newEngine(t, 50, Config{PopulationSize: 16}, 5)
-	full := newEngine(t, 50, Config{PopulationSize: 16, Evaluation: FullEvaluation}, 5)
-	delta.Run(5)
-	full.Run(5)
+	eng := newEngine(t, 50, Config{PopulationSize: 16}, 5)
+	eng.Run(5)
 	inject := []Individual{
-		{Alloc: delta.eval.RandomAllocation(rng.New(99))},
-		{Alloc: heuristics.BuildMinEnergy(delta.eval)},
+		{Alloc: eng.eval.RandomAllocation(rng.New(99))},
+		{Alloc: heuristics.BuildMinEnergy(eng.eval)},
 	}
-	if err := delta.Inject(inject); err != nil {
+	if err := eng.Inject(inject); err != nil {
 		t.Fatal(err)
 	}
-	if err := full.Inject(inject); err != nil {
-		t.Fatal(err)
-	}
+	requireFullMatchOf(t, "injected population", eng, eng.pop)
 	for gen := 0; gen < 8; gen++ {
-		delta.Step()
-		full.Step()
-		comparePopulations(t, "post-inject", delta, full)
+		eng.Step()
+		requireFullMatch(t, "post-inject", eng)
 	}
 }
 
 // TestDeltaEngineMatchesFullAfterRestore checks the snapshot path: a
-// restored population is fully re-evaluated, and continuing under delta
-// evaluation must match a full-evaluation continuation.
+// restored population is evaluated from its allocations, and continuing
+// the run must match both full evaluation and the uninterrupted run.
 func TestDeltaEngineMatchesFullAfterRestore(t *testing.T) {
 	src := newEngine(t, 40, Config{PopulationSize: 12}, 8)
 	src.Run(4)
 	snap := src.Snapshot()
 
-	delta := newEngine(t, 40, Config{PopulationSize: 12}, 8)
-	full := newEngine(t, 40, Config{PopulationSize: 12, Evaluation: FullEvaluation}, 8)
-	if err := delta.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := full.Restore(snap); err != nil {
+	restored := newEngine(t, 40, Config{PopulationSize: 12}, 8)
+	if err := restored.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	for gen := 0; gen < 8; gen++ {
-		delta.Step()
-		full.Step()
-		comparePopulations(t, "post-restore", delta, full)
+		src.Step()
+		restored.Step()
+		requireFullMatch(t, "post-restore", restored)
+		comparePopulations(t, "post-restore", restored, src)
 	}
 }
 
 // FuzzDeltaEngine drives arbitrary engine configurations through the
-// delta-vs-full population equality check.
+// incremental-vs-full objective check.
 func FuzzDeltaEngine(f *testing.F) {
 	f.Add(uint64(1), uint8(40), uint8(10), false, false, uint8(3))
 	f.Add(uint64(9), uint8(90), uint8(8), true, true, uint8(5))
@@ -159,14 +190,10 @@ func FuzzDeltaEngine(f *testing.F) {
 		if tournament {
 			cfg.Selection = TournamentSelection
 		}
-		fullCfg := cfg
-		fullCfg.Evaluation = FullEvaluation
-		delta := newEngine(t, tasks, cfg, seed|1)
-		full := newEngine(t, tasks, fullCfg, seed|1)
+		eng := newEngine(t, tasks, cfg, seed|1)
 		for g := 0; g < int(gens)%10+1; g++ {
-			delta.Step()
-			full.Step()
+			eng.Step()
+			requireFullMatch(t, "fuzz", eng)
 		}
-		comparePopulations(t, "fuzz", delta, full)
 	})
 }

@@ -195,8 +195,8 @@ func TestIslandsSnapshotValidation(t *testing.T) {
 }
 
 // TestIslandsShardStatsEvents: each migration tick emits one aggregated
-// GenerationStats labeled "islands" summing the per-island cache and
-// arena shards, after that tick's migration events.
+// GenerationStats labeled "islands" summing the per-island evaluation
+// and arena shards, after that tick's migration events.
 func TestIslandsShardStatsEvents(t *testing.T) {
 	e := newEval(t, 30)
 	cfg := IslandConfig{
@@ -227,13 +227,14 @@ func TestIslandsShardStatsEvents(t *testing.T) {
 			t.Fatalf("event %d population %d, want 18", i, g.Population)
 		}
 		// Per-tick work: every generation in the interval evaluates the
-		// offspring of all three islands, so the counters must cover at
-		// least interval × islands × population accounted offspring.
-		if got := g.FullEvals + g.DeltaEvals + g.CacheHits; got < 4*3*6 {
-			t.Fatalf("event %d accounts %d evaluations, want >= 72", i, got)
+		// offspring of all three islands, plus the migrants injected at
+		// the first tick's end, so the counters must cover at least
+		// interval × islands × population evaluations.
+		if g.FullEvals < 4*3*6 {
+			t.Fatalf("event %d accounts %d evaluations, want >= 72", i, g.FullEvals)
 		}
-		if g.CacheCapacity <= 0 || g.CacheSize <= 0 || g.CacheSize > g.CacheCapacity {
-			t.Fatalf("event %d cache size/capacity %d/%d", i, g.CacheSize, g.CacheCapacity)
+		if g.MachinesSimulated != g.FullEvals*e.NumMachines() {
+			t.Fatalf("event %d: %d machines simulated for %d evaluations", i, g.MachinesSimulated, g.FullEvals)
 		}
 		if g.ArenaSlots <= 0 || g.ArenaInUse <= 0 || g.ArenaInUse > g.ArenaSlots {
 			t.Fatalf("event %d arena %d/%d", i, g.ArenaInUse, g.ArenaSlots)
@@ -242,14 +243,13 @@ func TestIslandsShardStatsEvents(t *testing.T) {
 			t.Fatalf("event %d machines %d", i, g.NumMachines)
 		}
 	}
-	// The aggregated cache capacity is the sum of three per-island
-	// shards: each island defaults to 4×pop rounded up to a power of
-	// two, so the sum is exactly 3 shards' worth.
+	// The aggregated arena is the sum of three per-island shards.
 	one, err := New(e, cfg.Engine, rng.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 3 * len(one.cache.slots); rec.gens[0].CacheCapacity != want {
-		t.Fatalf("aggregated cache capacity %d, want %d (3 shards)", rec.gens[0].CacheCapacity, want)
+	one.Step()
+	if _, slots := one.arena.occupancy(); rec.gens[0].ArenaSlots != 3*slots {
+		t.Fatalf("aggregated arena slots %d, want %d (3 shards)", rec.gens[0].ArenaSlots, 3*slots)
 	}
 }

@@ -71,12 +71,6 @@ type Individual struct {
 	Rank int
 	// Crowding is the crowding distance within the individual's front.
 	Crowding float64
-
-	// contrib caches the per-machine contribution rows of the last
-	// machine-major evaluation, letting offspring derived from this
-	// individual inherit clean machines' contributions. Engine-internal;
-	// Clone deliberately drops it.
-	contrib *sched.Contribs
 }
 
 // Clone deep-copies the individual.
@@ -120,75 +114,6 @@ type Config struct {
 	// prior work (Friese et al., INFOCOMP 2012).
 	//detlint:allow optwire code-level extension point: custom problems are built by callers, not CLI flags
 	Problem *Problem
-	// Evaluation selects the offspring-evaluation strategy. The default
-	// DeltaEvaluation re-simulates only machines whose task sequence the
-	// variation operators touched; FullEvaluation re-simulates every
-	// machine. Both run the machine-major kernel and produce
-	// bit-identical populations for the same seed and any worker count.
-	Evaluation Evaluation
-	// DeltaMaxDirtyFrac is retained for configuration compatibility and
-	// no longer consulted: since the type-compressed kernel rework,
-	// parent inheritance is decided per machine by bucket-fingerprint
-	// match rather than by variation-reported dirty flags, so there is no
-	// diff phase left to bail out of. Values in [0,1] validate as before.
-	//detlint:allow optwire compatibility knob retained for old callers; deliberately no CLI plumbing
-	DeltaMaxDirtyFrac float64
-	// CacheCapacity bounds the fitness-memoization cache in entries
-	// (rounded up to a power of two). 0 means the default, 4 ×
-	// PopulationSize; negative disables memoization entirely.
-	// Populations are bit-identical for every capacity, including
-	// disabled — the cache only changes how fast evaluations happen.
-	CacheCapacity int
-	// CacheVerify re-evaluates every cache hit and panics if the
-	// memoized outcome is not bit-identical — a debug guard against
-	// 64-bit fingerprint collisions. Expensive: each hit then costs a
-	// full simulation plus comparison.
-	CacheVerify bool
-	// MachineCacheCapacity bounds the machine-bucket memoization cache
-	// in entries (rounded up to a power of two). This second level sits
-	// beneath the whole-chromosome cache: it keys on one machine's
-	// bucket fingerprint and caches that machine's contribution row, so
-	// an offspring that reproduces a previously seen machine schedule
-	// skips that machine's simulation even when the chromosome as a
-	// whole is new. 0 means the default, 128 × PopulationSize; negative
-	// disables the level. Populations are bit-identical for every
-	// capacity, including disabled.
-	MachineCacheCapacity int
-	// MachineCacheVerify re-simulates every machine-cache hit and panics
-	// if the memoized row is not bit-identical — the bucket-fingerprint
-	// analogue of CacheVerify, and as expensive.
-	MachineCacheVerify bool
-	// Kernel selects the per-machine simulation loop: the
-	// type-compressed run-length kernel (the default) or the per-task
-	// scalar reference. Both are bit-identical; the choice only affects
-	// speed.
-	Kernel sched.Kernel
-}
-
-// Evaluation selects how offspring objective values are computed.
-type Evaluation int
-
-const (
-	// DeltaEvaluation (the default) evaluates offspring incrementally:
-	// variation reports the machines it may have dirtied, machines whose
-	// task sequence is unchanged from the parent inherit the parent's
-	// cached per-machine contributions, and only truly changed machines
-	// are re-simulated. Seeded, injected, restored, and shuffle-repaired
-	// chromosomes automatically fall back to a full simulation.
-	DeltaEvaluation Evaluation = iota
-	// FullEvaluation re-simulates every machine of every offspring.
-	FullEvaluation
-)
-
-func (ev Evaluation) String() string {
-	switch ev {
-	case DeltaEvaluation:
-		return "delta"
-	case FullEvaluation:
-		return "full"
-	default:
-		return fmt.Sprintf("Evaluation(%d)", int(ev))
-	}
 }
 
 // Problem defines the objective space the engine optimizes over.
@@ -310,15 +235,6 @@ func (c *Config) fillDefaults() {
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.DeltaMaxDirtyFrac == 0 {
-		c.DeltaMaxDirtyFrac = 0.95
-	}
-	if c.CacheCapacity == 0 {
-		c.CacheCapacity = 4 * c.PopulationSize
-	}
-	if c.MachineCacheCapacity == 0 {
-		c.MachineCacheCapacity = 128 * c.PopulationSize
-	}
 }
 
 func (c *Config) validate() error {
@@ -346,19 +262,6 @@ func (c *Config) validate() error {
 	default:
 		return fmt.Errorf("nsga2: unknown selection %d", int(c.Selection))
 	}
-	switch c.Evaluation {
-	case DeltaEvaluation, FullEvaluation:
-	default:
-		return fmt.Errorf("nsga2: unknown evaluation strategy %d", int(c.Evaluation))
-	}
-	if c.DeltaMaxDirtyFrac < 0 || c.DeltaMaxDirtyFrac > 1 {
-		return fmt.Errorf("nsga2: delta dirty fraction %v outside [0,1]", c.DeltaMaxDirtyFrac)
-	}
-	switch c.Kernel {
-	case sched.KernelTyped, sched.KernelScalar:
-	default:
-		return fmt.Errorf("nsga2: unknown evaluation kernel %d", int(c.Kernel))
-	}
 	return nil
 }
 
@@ -368,15 +271,13 @@ func (c *Config) validate() error {
 // generation, and exactly N are needed for the next offspring batch.
 //
 // Buffers are carved from contiguous structure-of-arrays blocks — one
-// backing slice per field (machine genes, order genes, objectives,
-// contribution rows) — so a population walk streams through memory
+// backing slice per field (machine genes, order genes, objectives) — so
+// a population walk streams through memory
 // instead of chasing per-individual allocations. Slot strides are
 // padded to whole cache lines: two slots handed to offspring owned by
 // different workers never share a line, so the parallel variation and
 // evaluation fan-outs write into disjoint cache-line-padded regions.
-// Each field grows independently in blocks of `batch` slots (the
-// fitness cache draws contribution buffers without touching the
-// chromosome lists).
+// Each field grows independently.
 // arenaChunkBytes bounds the genotype growth quantum: one chunk's
 // machine+order blocks together stay near this size, so a 10⁶-task
 // engine grows its arena a few slots at a time instead of re-carving
@@ -395,17 +296,16 @@ type arena struct {
 	dim  int
 	// batch is the steady-state demand hint (2×population): the upper
 	// bound on slots per chunk, and the exact chunk size for the small
-	// per-slot fields (objectives, contribs) where one chunk is cheap.
+	// objectives field, where one chunk is cheap.
 	batch int
 
-	allocs   []*sched.Allocation
-	objs     [][]float64
-	contribs []*sched.Contribs
+	allocs []*sched.Allocation
+	objs   [][]float64
 
 	// Carved-slot totals per field; in-use = carved − free-list length.
-	allocSlots, objSlots, contribSlots int
+	allocSlots, objSlots int
 	// Chunk counts per field, for growth-quantum tests and diagnostics.
-	allocChunks, objChunks, contribChunks int
+	allocChunks, objChunks int
 }
 
 func (ar *arena) init(eval *sched.Evaluator, dim, batch int) {
@@ -488,30 +388,11 @@ func (ar *arena) putObjs(o []float64) {
 	}
 }
 
-func (ar *arena) getContrib() *sched.Contribs {
-	if len(ar.contribs) == 0 {
-		ar.contribs = append(ar.contribs, ar.eval.NewContribsBatch(ar.batch)...)
-		ar.contribSlots += ar.batch
-		ar.contribChunks++
-	}
-	k := len(ar.contribs) - 1
-	c := ar.contribs[k]
-	ar.contribs = ar.contribs[:k]
-	c.Invalidate() // stale rows; the next evaluation overwrites them
-	return c
-}
-
-func (ar *arena) putContrib(c *sched.Contribs) {
-	if c != nil {
-		ar.contribs = append(ar.contribs, c)
-	}
-}
-
-// occupancy returns the in-use fraction of all carved slots across the
-// three fields (0 when nothing has been carved yet).
+// occupancy returns the in-use and carved slot counts across both
+// fields.
 func (ar *arena) occupancy() (inUse, total int) {
-	total = ar.allocSlots + ar.objSlots + ar.contribSlots
-	free := len(ar.allocs) + len(ar.objs) + len(ar.contribs)
+	total = ar.allocSlots + ar.objSlots
+	free := len(ar.allocs) + len(ar.objs)
 	return total - free, total
 }
 
@@ -528,7 +409,7 @@ type Engine struct {
 	pop        []Individual
 	generation int
 
-	sessions []*sched.DeltaSession // one per worker
+	sessions []*sched.SlotSession // one per worker
 
 	// Steady-state scratch (lazily sized on first Step).
 	ranker      *moea.Ranker
@@ -546,54 +427,25 @@ type Engine struct {
 	varScratch2 [][]int32      // second child's histogram, alive at the same time
 	fanPanics   []*WorkerPanic // per-worker panic captured by fanout
 
-	// Per-offspring evaluation scratch. slots[i] is offspring i's
-	// execution-order slot array (sched.PackSlot per scheduling
-	// position) and mcounts[i] its per-machine task histogram, both
-	// written by the variation fan-out as by-products of order repair
-	// (mutation patches them in O(1)); plans[i] carries Prepare's
-	// residue (fingerprint misses to simulate) between the evaluation
-	// phases; needSlot[i][k] is the machine-bucket cache's verdict for
-	// plan Need entry k (slot index, or -1 for a miss). All rows are
-	// padded to whole cache lines inside one backing slice so concurrent
+	// slots[i] is offspring i's execution-order slot array
+	// (sched.PackSlot per scheduling position), written by the variation
+	// fan-out as a by-product of order repair (mutation patches it in
+	// O(1)) and walked once by the evaluation fan-out. Rows are padded
+	// to whole cache lines inside one backing slice so concurrent
 	// workers never share a line.
-	slots    [][]uint64
-	mcounts  [][]int32
-	plans    []*sched.DeltaPlan
-	needSlot [][]int32
-	// missKs[w] is worker w's scratch for the Need indices the
-	// machine-bucket cache missed, handed to SimulateNeedList so the
-	// batched kernel sees the misses as one group.
-	missKs [][]int32
+	slots [][]uint64
 
 	// Dirty-machine telemetry: one row of machine flags per offspring,
 	// written by the variation fan-out only while an observer is
-	// attached (evaluation no longer consumes the flags — fingerprint
-	// matching decides inheritance by content).
+	// attached.
 	dirty  [][]bool
 	dirtyN []int
-
-	// Fitness memoization (cache.go): nil when disabled. fprint and
-	// cacheEv are per-offspring slots written inside the fan-outs;
-	// cacheSlot is the serial probe phase's verdict per offspring (slot
-	// index, or -1 for a miss). verifyContribs is per-worker scratch for
-	// the verify-on-hit debug mode.
-	cache          *fitCache
-	fprint         []uint64
-	cacheSlot      []int32
-	cacheEv        []sched.Evaluation
-	cacheBase      cacheStats
-	verifyContribs []*sched.Contribs
-
-	// Machine-bucket memoization (mcache.go): the second cache level,
-	// keyed on per-machine bucket fingerprints. nil when disabled.
-	mcache     *machineCache
-	mcacheBase cacheStats
 
 	// Observer state (see observe.go). observer is nil when telemetry is
 	// disabled — the only cost then is one nil check per Step.
 	observer  obs.Observer
 	kernel    *obs.IndicatorKernel
-	statsBase sched.DeltaStats
+	statsBase sched.Stats
 	frontObs  [][]float64 // recycled borrow-only front buffer
 	frontOrd  frontSorter
 
@@ -630,18 +482,11 @@ func New(eval *sched.Evaluator, cfg Config, src *rng.Source) (*Engine, error) {
 		src:     src,
 		ranker:  moea.NewRanker(),
 	}
-	e.sessions = make([]*sched.DeltaSession, cfg.Workers)
+	e.sessions = make([]*sched.SlotSession, cfg.Workers)
 	for i := range e.sessions {
-		e.sessions[i] = eval.NewDeltaSession()
-		e.sessions[i].SetKernel(cfg.Kernel)
+		e.sessions[i] = eval.NewSlotSession()
 	}
 	e.arena.init(eval, e.space.Dim(), 2*cfg.PopulationSize)
-	if cfg.CacheCapacity > 0 {
-		e.cache = newFitCache(cfg.CacheCapacity, &e.arena)
-	}
-	if cfg.MachineCacheCapacity > 0 {
-		e.mcache = newMachineCache(cfg.MachineCacheCapacity)
-	}
 
 	e.pop = make([]Individual, 0, cfg.PopulationSize)
 	for _, s := range cfg.Seeds {
@@ -693,29 +538,6 @@ func (e *Engine) ensureScratch() {
 	for i := range e.slots {
 		e.slots[i] = slotBack[i*slotStride : i*slotStride+nt : i*slotStride+nt]
 	}
-	e.plans = make([]*sched.DeltaPlan, n)
-	for i := range e.plans {
-		e.plans[i] = e.eval.NewDeltaPlan()
-	}
-	cntStride := (nm + 15) / 16 * 16 // 16 int32 per 64-byte line
-	cntBack := make([]int32, n*cntStride)
-	e.mcounts = make([][]int32, n)
-	for i := range e.mcounts {
-		e.mcounts[i] = cntBack[i*cntStride : i*cntStride+nm : i*cntStride+nm]
-	}
-	if e.mcache != nil {
-		nsStride := (nm + 15) / 16 * 16 // 16 int32 per 64-byte line
-		nsBack := make([]int32, n*nsStride)
-		e.needSlot = make([][]int32, n)
-		for i := range e.needSlot {
-			e.needSlot[i] = nsBack[i*nsStride : i*nsStride+nm : i*nsStride+nm]
-		}
-	}
-	if e.cache != nil {
-		e.fprint = make([]uint64, n)
-		e.cacheSlot = make([]int32, n)
-		e.cacheEv = make([]sched.Evaluation, n)
-	}
 	workers := e.cfg.Workers
 	if workers < 1 {
 		workers = 1
@@ -723,16 +545,9 @@ func (e *Engine) ensureScratch() {
 	e.workerSrc = make([]rng.Source, workers)
 	e.varScratch = make([][]int32, workers)
 	e.varScratch2 = make([][]int32, workers)
-	e.missKs = make([][]int32, workers)
-	for w := range e.missKs {
-		e.missKs[w] = make([]int32, 0, nm)
-	}
 	for w := range e.varScratch {
 		e.varScratch[w] = make([]int32, nt)
 		e.varScratch2[w] = make([]int32, nt)
-	}
-	if e.cfg.CacheVerify && e.verifyContribs == nil {
-		e.verifyContribs = e.eval.NewContribsBatch(workers)
 	}
 }
 
@@ -827,7 +642,7 @@ func (e *Engine) Inject(inds []Individual) error {
 	clones := make([]Individual, len(inds))
 	for i, ind := range inds {
 		// Copy into arena slots and leave Objectives nil: evaluateAll
-		// re-evaluates (or cache-hits) under this engine's problem.
+		// re-evaluates under this engine's problem.
 		a := e.arena.getAlloc()
 		a.CopyFrom(ind.Alloc)
 		clones[i] = Individual{Alloc: a}
@@ -847,7 +662,6 @@ func (e *Engine) Inject(inds []Individual) error {
 	for i, c := range clones {
 		e.arena.putAlloc(e.pop[idx[i]].Alloc)
 		e.arena.putObjs(e.pop[idx[i]].Objectives)
-		e.arena.putContrib(e.pop[idx[i]].contrib)
 		e.pop[idx[i]] = c
 	}
 	e.rank(e.pop)
@@ -886,29 +700,14 @@ func (e *Engine) Step() {
 		e.offspring = append(e.offspring, Individual{
 			Alloc:      e.arena.getAlloc(),
 			Objectives: e.arena.getObjs(),
-			contrib:    e.arena.getContrib(),
 		})
 	}
 	// Steps 4–5: crossover + repair + mutation, parallel across pairs.
 	e.varyAll(genSeed, genStream, pairs)
 	e.phase.Record(obs.PhaseVariation, t0)
-	// Memoization bracket: probe the fitness cache serially (its state
-	// must evolve identically for every worker count), let the parallel
-	// evaluation fan-out copy hits and simulate misses, then insert the
-	// missed outcomes serially in offspring order.
-	if e.cache != nil {
-		t0 = e.phase.Start()
-		e.probeCache(n)
-		e.phase.Record(obs.PhaseCacheProbe, t0)
-	}
 	t0 = e.phase.Start()
 	e.evaluateInPlace(e.offspring)
 	e.phase.Record(obs.PhaseEval, t0)
-	if e.cache != nil {
-		t0 = e.phase.Start()
-		e.insertCache(n)
-		e.phase.Record(obs.PhaseCacheInsert, t0)
-	}
 
 	// Step 6: merge into the 2N meta-population (elitism).
 	t0 = e.phase.Start()
@@ -1031,7 +830,6 @@ func (e *Engine) varyPair(k int, src *rng.Source, scratch, scratch2 []int32) {
 	c1 := e.offspring[2*k].Alloc
 	c2 := e.offspring[2*k+1].Alloc
 	s1, s2 := e.slots[2*k], e.slots[2*k+1]
-	n1, n2 := e.mcounts[2*k], e.mcounts[2*k+1]
 	c1.CopyFrom(e.parents[2*k].Alloc)
 	c2.CopyFrom(e.parents[2*k+1].Alloc)
 	var d1, d2 []bool
@@ -1042,7 +840,7 @@ func (e *Engine) varyPair(k int, src *rng.Source, scratch, scratch2 []int32) {
 			d2[m] = false
 		}
 	}
-	i, j := e.crossInto(c1, c2, s1, s2, n1, n2, src, scratch, scratch2)
+	i, j := e.crossInto(c1, c2, s1, s2, src, scratch, scratch2)
 	if d1 != nil && e.cfg.Repair != ShuffleRepair {
 		// The candidate-dirty machines of BOTH children are the machines
 		// appearing in either child's post-swap segment: a machine either
@@ -1060,10 +858,10 @@ func (e *Engine) varyPair(k int, src *rng.Source, scratch, scratch2 []int32) {
 		}
 	}
 	if src.Bool(e.cfg.MutationRate) {
-		e.mutateWith(c1, s1, n1, src, d1)
+		e.mutateWith(c1, s1, src, d1)
 	}
 	if src.Bool(e.cfg.MutationRate) {
-		e.mutateWith(c2, s2, n2, src, d2)
+		e.mutateWith(c2, s2, src, d2)
 	}
 	if d1 != nil {
 		n1, n2 := 0, 0
@@ -1077,18 +875,13 @@ func (e *Engine) varyPair(k int, src *rng.Source, scratch, scratch2 []int32) {
 		}
 		e.dirtyN[2*k], e.dirtyN[2*k+1] = n1, n2
 	}
-	if e.cache != nil {
-		e.fprint[2*k] = fingerprint(c1)
-		e.fprint[2*k+1] = fingerprint(c2)
-	}
 }
 
 // crossInto applies segment swap and order repair to two chromosomes in
 // place, returning the inclusive swapped gene range. s1 and s2 receive
-// the children's execution-order slot arrays and n1 and n2 their
-// per-machine task histograms: the rerank path writes both during the
-// repair's placement pass for free, the shuffle path scatters them
-// after drawing fresh permutations.
+// the children's execution-order slot arrays: the rerank path writes
+// them during the repair's placement pass for free, the shuffle path
+// scatters them after drawing fresh permutations.
 //
 // The rerank path never recounts order values from scratch: each child
 // starts as a copy of one parent — a valid permutation, so every value's
@@ -1098,7 +891,7 @@ func (e *Engine) varyPair(k int, src *rng.Source, scratch, scratch2 []int32) {
 // the whole chromosome.
 //
 //detlint:hotpath
-func (e *Engine) crossInto(c1, c2 *sched.Allocation, s1, s2 []uint64, n1, n2 []int32, src *rng.Source, scratch, scratch2 []int32) (int, int) {
+func (e *Engine) crossInto(c1, c2 *sched.Allocation, s1, s2 []uint64, src *rng.Source, scratch, scratch2 []int32) (int, int) {
 	n := c1.Len()
 	i := src.Intn(n)
 	j := src.Intn(n)
@@ -1112,8 +905,8 @@ func (e *Engine) crossInto(c1, c2 *sched.Allocation, s1, s2 []uint64, n1, n2 []i
 		}
 		src.PermInto32(c1.Order)
 		src.PermInto32(c2.Order)
-		scatterSlots(c1, s1, n1)
-		scatterSlots(c2, s2, n2)
+		sched.ScatterSlots(c1, s1)
+		sched.ScatterSlots(c2, s2)
 		return i, j
 	}
 	cnt1, cnt2 := scratch[:n], scratch2[:n]
@@ -1132,28 +925,9 @@ func (e *Engine) crossInto(c1, c2 *sched.Allocation, s1, s2 []uint64, n1, n2 []i
 		cnt2[o2]--
 		cnt2[o1]++
 	}
-	repairOrderSlotsCounted(c1.Order, c1.Machine, cnt1, s1, n1)
-	repairOrderSlotsCounted(c2.Order, c2.Machine, cnt2, s2, n2)
+	repairOrderSlotsCounted(c1.Order, c1.Machine, cnt1, s1)
+	repairOrderSlotsCounted(c2.Order, c2.Machine, cnt2, s2)
 	return i, j
-}
-
-// scatterSlots rebuilds an execution-order slot array and per-machine
-// task histogram from scratch — the fallback for repair paths that
-// don't produce them as by-products.
-//
-//detlint:hotpath
-func scatterSlots(a *sched.Allocation, slots []uint64, counts []int32) {
-	machine, order := a.Machine, a.Order
-	for m := range counts {
-		counts[m] = 0
-	}
-	for i := range machine {
-		m := machine[i]
-		slots[order[i]] = sched.PackSlot(m, i)
-		if m >= 0 {
-			counts[m]++
-		}
-	}
 }
 
 // repairOrder rewrites ord into a permutation of [0, len): genes are
@@ -1193,73 +967,46 @@ func repairOrderScratch(ord, scratch []int32) {
 	}
 }
 
-// repairOrderSlots is repairOrderScratch fused with the slot scatter:
-// the placement pass already visits every (gene, final rank) pair, so
-// writing slots[rank] = PackSlot(machine, gene) there — and bumping the
-// machine's task histogram — makes the execution-order layout and the
-// per-machine counts the evaluation phases consume free by-products of
-// the repair instead of separate passes over the chromosome.
+// repairOrderSlotsCounted is repairOrderScratch fused with the slot
+// scatter, over an order-value histogram the caller supplies (crossInto
+// maintains it through the segment swap instead of recounting the
+// chromosome). The placement pass already visits every (gene, final
+// rank) pair, so writing slots[rank] = PackSlot(machine, gene) there
+// makes the execution-order layout the evaluation walks a free
+// by-product of the repair. counts is consumed: the prefix-sum pass
+// turns it into placement cursors.
 //
 //detlint:hotpath
-func repairOrderSlots(ord, machine, scratch []int32, slots []uint64, mcounts []int32) {
-	n := len(ord)
-	counts := scratch[:n]
-	for i := range counts {
-		counts[i] = 0
-	}
-	for _, v := range ord {
-		counts[v]++
-	}
-	repairOrderSlotsCounted(ord, machine, counts, slots, mcounts)
-}
-
-// repairOrderSlotsCounted is repairOrderSlots with the order-value
-// histogram supplied by the caller (crossInto maintains it through the
-// segment swap instead of recounting the chromosome). counts is
-// consumed: the prefix-sum pass turns it into placement cursors.
-//
-//detlint:hotpath
-func repairOrderSlotsCounted(ord, machine, counts []int32, slots []uint64, mcounts []int32) {
+func repairOrderSlotsCounted(ord, machine, counts []int32, slots []uint64) {
 	var sum int32
 	for v, c := range counts {
 		counts[v] = sum
 		sum += c
 	}
-	for m := range mcounts {
-		mcounts[m] = 0
-	}
 	for i, v := range ord {
 		r := counts[v]
 		ord[i] = r
 		counts[v] = r + 1
-		m := machine[i]
-		slots[r] = sched.PackSlot(m, i)
-		if m >= 0 {
-			mcounts[m]++
-		}
+		slots[r] = sched.PackSlot(machine[i], i)
 	}
 }
 
 // mutateWith implements the paper's operator: reassign one random gene
 // to a random eligible machine, and swap the global scheduling orders of
-// two random genes — patching the chromosome's slot array and machine
-// histogram in O(1) per edit. When dirty is non-nil it flags the
+// two random genes — patching the chromosome's slot array in O(1) per
+// edit. When dirty is non-nil it flags the
 // machines the edit may have touched: the gene's old and new machine,
 // plus the hosts of the two order-swapped genes (an order swap only
 // reorders those two tasks within their own machines).
 //
 //detlint:hotpath
-func (e *Engine) mutateWith(a *sched.Allocation, slots []uint64, counts []int32, src *rng.Source, dirty []bool) {
+func (e *Engine) mutateWith(a *sched.Allocation, slots []uint64, src *rng.Source, dirty []bool) {
 	n := a.Len()
 	g := src.Intn(n)
 	el := e.eval.Eligible(e.eval.Trace().Tasks[g].Type)
 	old := a.Machine[g]
 	a.Machine[g] = int32(el[src.Intn(len(el))])
 	slots[a.Order[g]] = sched.PackSlot(a.Machine[g], g)
-	if old >= 0 {
-		counts[old]--
-	}
-	counts[a.Machine[g]]++
 	x, y := src.Intn(n), src.Intn(n)
 	ox, oy := a.Order[x], a.Order[y]
 	a.Order[x], a.Order[y] = oy, ox
@@ -1346,238 +1093,40 @@ func (p *WorkerPanic) Error() string {
 	return fmt.Sprintf("nsga2: fan-out worker %d panicked: %v\n\nworker goroutine stack:\n%s", p.Worker, p.Value, p.Stack)
 }
 
-// probeCache looks every offspring's fingerprint up in the fitness
-// cache, recording per-offspring hit slots for the evaluation fan-out
-// and refreshing hit stamps. Serial, in offspring order: the cache's
-// state transitions must not depend on worker count.
-//
-//detlint:hotpath
-func (e *Engine) probeCache(n int) {
-	gen := int64(e.generation)
-	for i := 0; i < n; i++ {
-		slot := e.cache.lookup(e.fprint[i])
-		if slot >= 0 {
-			e.cache.stats.hits++
-			e.cache.touch(slot, gen)
-		} else {
-			e.cache.stats.misses++
-		}
-		e.cacheSlot[i] = int32(slot)
-	}
-}
-
-// insertCache memoizes the outcomes of this generation's cache misses,
-// serially in offspring order (determinism, as probeCache).
-//
-//detlint:hotpath
-func (e *Engine) insertCache(n int) {
-	gen := int64(e.generation)
-	for i := 0; i < n; i++ {
-		if e.cacheSlot[i] >= 0 {
-			continue
-		}
-		e.cache.insert(e.fprint[i], gen, e.cacheEv[i], e.offspring[i].contrib)
-	}
-}
-
-// verifyHit is the verify-on-hit debug guard: re-simulate the
-// allocation and demand the memoized outcome be bit-identical.
-func (e *Engine) verifyHit(sess *sched.DeltaSession, scratch *sched.Contribs, a *sched.Allocation, s *fitSlot) {
-	if ev := sess.EvaluateFull(a, scratch); ev != s.ev || !scratch.Equal(s.contrib) {
-		panic("nsga2: fitness cache verify-on-hit mismatch (64-bit fingerprint collision)")
-	}
-}
-
-// evaluateAll fully simulates individuals lacking Objectives (seeds,
-// injected, restored), fanning out across the configured workers.
-// Contribution caches are assigned — and the fitness cache consulted —
-// serially first (neither the arena nor the cache is goroutine-safe),
-// then the misses are simulated inside the fan-out and memoized
-// serially after it. Results are deterministic because each
-// individual's evaluation is independent of scheduling.
+// evaluateAll evaluates the individuals lacking Objectives (seeds,
+// injected, restored), fanning out across the configured workers. Each
+// worker's session scatters the allocation into its own slot scratch
+// first. Results are deterministic because each individual's evaluation
+// is independent of scheduling.
 func (e *Engine) evaluateAll(inds []Individual) {
 	todo := make([]int, 0, len(inds))
-	var fps []uint64
-	if e.cache != nil {
-		fps = make([]uint64, 0, len(inds))
-	}
-	gen := int64(e.generation)
 	for i := range inds {
-		if inds[i].Objectives != nil {
-			continue
+		if inds[i].Objectives == nil {
+			todo = append(todo, i)
 		}
-		if inds[i].contrib == nil {
-			inds[i].contrib = e.arena.getContrib()
-		}
-		if e.cache != nil {
-			fp := fingerprint(inds[i].Alloc)
-			if slot := e.cache.lookup(fp); slot >= 0 {
-				s := &e.cache.slots[slot]
-				e.cache.stats.hits++
-				e.cache.touch(slot, gen)
-				if e.cfg.CacheVerify {
-					e.verifyHit(e.sessions[0], e.eval.NewContribs(), inds[i].Alloc, s)
-				}
-				inds[i].contrib.CopyFrom(s.contrib)
-				e.problem.fill(&inds[i], s.ev, e.space.Dim())
-				continue
-			}
-			e.cache.stats.misses++
-			fps = append(fps, fp)
-		}
-		todo = append(todo, i)
 	}
-	if len(todo) == 0 {
-		return
-	}
-	evs := make([]sched.Evaluation, len(todo))
+	dim := e.space.Dim()
 	e.fanout(len(todo), func(w, lo, hi int) {
 		sess := e.sessions[w]
-		for k, i := range todo[lo:hi] {
-			ev := sess.EvaluateFull(inds[i].Alloc, inds[i].contrib)
-			evs[lo+k] = ev
-			e.problem.fill(&inds[i], ev, e.space.Dim())
+		for _, i := range todo[lo:hi] {
+			e.problem.fill(&inds[i], sess.Evaluate(inds[i].Alloc), dim)
 		}
 	})
-	if e.cache != nil {
-		for k, i := range todo {
-			e.cache.insert(fps[k], gen, evs[k], inds[i].contrib)
-		}
-	}
 }
 
-// evaluateInPlace (re-)evaluates every offspring, writing objectives and
-// contribution caches into recycled buffers. It runs the machine-major
-// pipeline in four phases, keeping the serial-probe / parallel-work /
-// serial-insert bracket discipline of the chromosome cache so both
-// memoization levels evolve identically for every worker count:
-//
-//  1. parallel — Prepare every chromosome-cache miss: fingerprint its
-//     machine buckets from the slot array variation built and inherit
-//     the row of every machine whose bucket matches the parent's.
-//  2. serial — probe the machine-bucket cache for the remaining
-//     machines, in offspring then Need order.
-//  3. parallel — copy chromosome-cache hits; for misses, copy
-//     machine-cache hit rows, gather and simulate what no cache level
-//     supplied, and reduce to objective values.
-//  4. serial — insert the freshly simulated machine rows.
-//
-// Cache hits at either level are bit-identical to re-simulating, so
-// hits and misses interleave freely; under FullEvaluation the parent is
-// withheld and every machine misses level one. Parent caches and hit
-// cache slots are read-only during the fan-outs, so sharing them across
-// offspring is safe. (Not annotated //detlint:hotpath: the fan-out
-// closures necessarily capture, like the other fanout callers.)
+// evaluateInPlace evaluates every offspring in one fan-out: each
+// worker's session walks the offspring's execution-order slot array,
+// which variation built, and writes the objectives into the recycled
+// buffer. (Not annotated //detlint:hotpath: the fan-out closure
+// necessarily captures, like the other fanout callers.)
 func (e *Engine) evaluateInPlace(inds []Individual) {
 	dim := e.space.Dim()
-	full := e.cfg.Evaluation == FullEvaluation
-	cached := e.cache != nil
-	verify := e.cfg.CacheVerify
-	mverify := e.cfg.MachineCacheVerify
 	e.fanout(len(inds), func(w, lo, hi int) {
 		sess := e.sessions[w]
 		for i := lo; i < hi; i++ {
-			if cached && e.cacheSlot[i] >= 0 {
-				continue
-			}
-			var parent *sched.Contribs
-			if !full {
-				parent = e.parents[i].contrib
-			}
-			sess.Prepare(e.slots[i], e.mcounts[i], parent, inds[i].contrib, e.plans[i])
+			e.problem.fill(&inds[i], sess.EvaluateSlots(e.slots[i]), dim)
 		}
 	})
-	if e.mcache != nil {
-		gen := int64(e.generation)
-		for i := range inds {
-			if cached && e.cacheSlot[i] >= 0 {
-				continue
-			}
-			plan := e.plans[i]
-			fp := inds[i].contrib.FP
-			ns := e.needSlot[i][:len(plan.Need)]
-			for k, m := range plan.Need {
-				slot := e.mcache.lookup(fp[m])
-				if slot >= 0 {
-					e.mcache.stats.hits++
-					e.mcache.touch(slot, gen)
-				} else {
-					e.mcache.stats.misses++
-				}
-				ns[k] = int32(slot)
-			}
-		}
-	}
-	e.fanout(len(inds), func(w, lo, hi int) {
-		sess := e.sessions[w]
-		for i := lo; i < hi; i++ {
-			ind := &inds[i]
-			if cached {
-				if slot := e.cacheSlot[i]; slot >= 0 {
-					s := &e.cache.slots[slot]
-					if verify {
-						e.verifyHit(sess, e.verifyContribs[w], ind.Alloc, s)
-					}
-					ind.contrib.CopyFrom(s.contrib)
-					e.problem.fill(ind, s.ev, dim)
-					continue
-				}
-			}
-			plan := e.plans[i]
-			if e.mcache == nil {
-				sess.SimulateAllNeeds(plan, ind.contrib)
-			} else {
-				ns := e.needSlot[i][:len(plan.Need)]
-				miss := e.missKs[w][:0]
-				for k := range plan.Need {
-					if s := ns[k]; s >= 0 {
-						row := e.mcache.slots[s].row
-						if mverify {
-							e.verifyMachineHit(sess, plan, k, ind.contrib, row)
-						}
-						ind.contrib.SetRow(int(plan.Need[k]), row)
-					} else {
-						miss = append(miss, int32(k))
-					}
-				}
-				e.missKs[w] = miss
-				sess.SimulateNeedList(miss, plan, ind.contrib)
-			}
-			ev := sess.Finish(ind.contrib, plan)
-			if cached {
-				e.cacheEv[i] = ev
-			}
-			e.problem.fill(ind, ev, dim)
-		}
-	})
-	if e.mcache != nil {
-		gen := int64(e.generation)
-		for i := range inds {
-			if cached && e.cacheSlot[i] >= 0 {
-				continue
-			}
-			plan := e.plans[i]
-			contrib := inds[i].contrib
-			ns := e.needSlot[i][:len(plan.Need)]
-			for k, m := range plan.Need {
-				if ns[k] >= 0 {
-					continue
-				}
-				e.mcache.insert(contrib.FP[m], gen, contrib.Row(int(m)))
-			}
-		}
-	}
-}
-
-// verifyMachineHit is the machine cache's verify-on-hit debug guard:
-// re-simulate the gathered bucket and demand the memoized row be
-// bit-identical.
-func (e *Engine) verifyMachineHit(sess *sched.DeltaSession, plan *sched.DeltaPlan, k int, dst *sched.Contribs, row sched.MachineRow) {
-	m := int(plan.Need[k])
-	sess.SimulateNeed(k, plan, dst)
-	if dst.Row(m) != row {
-		panic("nsga2: machine cache verify-on-hit mismatch (64-bit bucket-fingerprint collision)")
-	}
 }
 
 // rank computes Rank and Crowding for a population in place.
@@ -1659,13 +1208,11 @@ func (e *Engine) selectSurvivors(n int) {
 		}
 		break
 	}
-	// Recycle the chromosomes, objective vectors, and contribution
-	// caches of the fallen.
+	// Recycle the chromosomes and objective vectors of the fallen.
 	for i := range meta {
 		if !picked[i] {
 			e.arena.putAlloc(meta[i].Alloc)
 			e.arena.putObjs(meta[i].Objectives)
-			e.arena.putContrib(meta[i].contrib)
 			meta[i] = Individual{}
 		}
 	}

@@ -2,6 +2,7 @@ package nsga2
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -276,12 +277,11 @@ func TestCrossoverProducesValidChildren(t *testing.T) {
 	scratch2 := make([]int32, e.NumTasks())
 	s1 := make([]uint64, e.NumTasks())
 	s2 := make([]uint64, e.NumTasks())
-	n1 := make([]int32, e.NumMachines())
-	n2 := make([]int32, e.NumMachines())
+	want := make([]uint64, e.NumTasks())
 	for trial := 0; trial < 100; trial++ {
 		c1 := e.RandomAllocation(eng.src)
 		c2 := e.RandomAllocation(eng.src)
-		lo, hi := eng.crossInto(c1, c2, s1, s2, n1, n2, eng.src, scratch, scratch2)
+		lo, hi := eng.crossInto(c1, c2, s1, s2, eng.src, scratch, scratch2)
 		if lo < 0 || hi >= e.NumTasks() || lo > hi {
 			t.Fatalf("swapped segment [%d,%d] out of range", lo, hi)
 		}
@@ -290,6 +290,12 @@ func TestCrossoverProducesValidChildren(t *testing.T) {
 		}
 		if err := e.Validate(c2); err != nil {
 			t.Fatalf("child 2 invalid: %v", err)
+		}
+		if sched.ScatterSlots(c1, want); !slices.Equal(s1, want) {
+			t.Fatalf("trial %d: child 1 slot array differs from its allocation's", trial)
+		}
+		if sched.ScatterSlots(c2, want); !slices.Equal(s2, want) {
+			t.Fatalf("trial %d: child 2 slot array differs from its allocation's", trial)
 		}
 	}
 }
@@ -300,20 +306,18 @@ func TestMutationProducesValidAllocations(t *testing.T) {
 	a := e.RandomAllocation(eng.src)
 	dirty := make([]bool, e.NumMachines())
 	slots := make([]uint64, e.NumTasks())
-	counts := make([]int32, e.NumMachines())
-	for i, o := range a.Order {
-		slots[o] = sched.PackSlot(a.Machine[i], i)
-		if m := a.Machine[i]; m >= 0 {
-			counts[m]++
-		}
-	}
+	want := make([]uint64, e.NumTasks())
+	sched.ScatterSlots(a, slots)
 	for trial := 0; trial < 200; trial++ {
 		for m := range dirty {
 			dirty[m] = false
 		}
-		eng.mutateWith(a, slots, counts, eng.src, dirty)
+		eng.mutateWith(a, slots, eng.src, dirty)
 		if err := e.Validate(a); err != nil {
 			t.Fatalf("mutated allocation invalid: %v", err)
+		}
+		if sched.ScatterSlots(a, want); !slices.Equal(slots, want) {
+			t.Fatalf("trial %d: patched slot array differs from the allocation's", trial)
 		}
 		n := 0
 		for _, d := range dirty {

@@ -37,12 +37,6 @@ func (e *Engine) SetObserver(o obs.Observer) {
 		e.kernel.Prime(e.gatherFront())
 	}
 	e.statsBase = e.sessionStats()
-	if e.cache != nil {
-		e.cacheBase = e.cache.stats
-	}
-	if e.mcache != nil {
-		e.mcacheBase = e.mcache.stats
-	}
 }
 
 // SetPhaseTimer attaches (or, with nil, detaches) a phase profiler.
@@ -68,8 +62,8 @@ func (e *Engine) SetIndicatorReference(ref []float64) {
 
 // sessionStats sums the cumulative work counters of every evaluation
 // session.
-func (e *Engine) sessionStats() sched.DeltaStats {
-	var sum sched.DeltaStats
+func (e *Engine) sessionStats() sched.Stats {
+	var sum sched.Stats
 	for _, s := range e.sessions {
 		sum.Add(s.Stats())
 	}
@@ -97,10 +91,12 @@ func (e *Engine) gatherFront() [][]float64 {
 }
 
 // notifyGeneration assembles and emits the per-generation telemetry
-// event: the sorted rank-1 front, this generation's evaluation-kernel
-// work (cumulative session counters diffed against the previous
-// snapshot), the dirty-machine distribution the variation phase
-// recorded, and the convergence indicators. Everything lives in
+// event: the sorted rank-1 front, this generation's evaluation work
+// (cumulative session counters diffed against the previous snapshot),
+// the dirty-machine distribution the variation phase recorded, and the
+// convergence indicators. Counters of the removed memoization layers
+// (delta evaluations, inherited machines, cache traffic, typed runs)
+// stay zero in the v4 trace. Everything lives in
 // engine-owned recycled buffers; the event is valid only during the
 // ObserveGeneration call.
 //
@@ -111,24 +107,6 @@ func (e *Engine) notifyGeneration() {
 	gen := cum
 	gen.Sub(e.statsBase)
 	e.statsBase = cum
-	var cgen cacheStats
-	var cacheSize, cacheCap int
-	if e.cache != nil {
-		ccum := e.cache.stats
-		cgen = ccum
-		cgen.sub(e.cacheBase)
-		e.cacheBase = ccum
-		cacheSize, cacheCap = e.cache.live, len(e.cache.slots)
-	}
-	var mgen cacheStats
-	var mcacheSize, mcacheCap int
-	if e.mcache != nil {
-		mcum := e.mcache.stats
-		mgen = mcum
-		mgen.sub(e.mcacheBase)
-		e.mcacheBase = mcum
-		mcacheSize, mcacheCap = e.mcache.live, len(e.mcache.slots)
-	}
 	arenaInUse, arenaSlots := e.arena.occupancy()
 	var phases obs.PhaseTotals
 	if e.phase != nil {
@@ -145,31 +123,18 @@ func (e *Engine) notifyGeneration() {
 		ind.FrontSize = len(front)
 	}
 	e.observer.ObserveGeneration(obs.GenerationStats{
-		Generation:            e.generation,
-		Population:            e.cfg.PopulationSize,
-		Front:                 front,
-		FullEvals:             int(gen.FullEvals),
-		DeltaEvals:            int(gen.DeltaEvals),
-		CacheHits:             int(cgen.hits),
-		CacheMisses:           int(cgen.misses),
-		CacheEvictions:        int(cgen.evicts),
-		CacheSize:             cacheSize,
-		CacheCapacity:         cacheCap,
-		ArenaInUse:            arenaInUse,
-		ArenaSlots:            arenaSlots,
-		MachinesSimulated:     int(gen.MachinesSimulated),
-		MachinesInherited:     int(gen.MachinesInherited),
-		MachineCacheHits:      int(mgen.hits),
-		MachineCacheMisses:    int(mgen.misses),
-		MachineCacheEvictions: int(mgen.evicts),
-		MachineCacheSize:      mcacheSize,
-		MachineCacheCapacity:  mcacheCap,
-		TypedTasks:            int(gen.TypedTasks),
-		TypedRuns:             int(gen.TypedRuns),
-		DirtyCounts:           e.dirtyN,
-		NumMachines:           e.eval.NumMachines(),
-		PhaseNanos:            phases,
-		Indicators:            ind,
+		Generation:        e.generation,
+		Population:        e.cfg.PopulationSize,
+		Front:             front,
+		FullEvals:         int(gen.Evals),
+		ArenaInUse:        arenaInUse,
+		ArenaSlots:        arenaSlots,
+		MachinesSimulated: int(gen.Machines),
+		TypedTasks:        int(gen.Tasks),
+		DirtyCounts:       e.dirtyN,
+		NumMachines:       e.eval.NumMachines(),
+		PhaseNanos:        phases,
+		Indicators:        ind,
 	})
 }
 

@@ -59,10 +59,8 @@ func TestPhaseTimerBracketsEveryStepPhase(t *testing.T) {
 	eng.Run(gens)
 
 	cnt, tot := pt.Counts(), pt.Totals()
-	// Step brackets select, variation, eval, and sort every generation;
-	// the cache brackets fire too because memoization is on by default.
-	for _, p := range []obs.Phase{obs.PhaseSelect, obs.PhaseVariation,
-		obs.PhaseCacheProbe, obs.PhaseEval, obs.PhaseCacheInsert, obs.PhaseSort} {
+	// Step brackets select, variation, eval, and sort every generation.
+	for _, p := range []obs.Phase{obs.PhaseSelect, obs.PhaseVariation, obs.PhaseEval, obs.PhaseSort} {
 		if cnt[p] != gens {
 			t.Errorf("phase %s bracketed %d times, want %d", p, cnt[p], gens)
 		}
@@ -78,14 +76,17 @@ func TestPhaseTimerBracketsEveryStepPhase(t *testing.T) {
 	}
 }
 
+// TestPhaseTimerCacheBracketsFollowCacheConfig: the engine has no
+// memoization layer, so the cache phases the v4 trace still carries
+// never record.
 func TestPhaseTimerCacheBracketsFollowCacheConfig(t *testing.T) {
-	eng := newEngine(t, 20, Config{PopulationSize: 10, CacheCapacity: -1}, 29)
+	eng := newEngine(t, 20, Config{PopulationSize: 10}, 29)
 	pt := obs.NewPhaseTimer(tickClock(3))
 	eng.SetPhaseTimer(pt)
 	eng.Run(3)
 	cnt := pt.Counts()
 	if cnt[obs.PhaseCacheProbe] != 0 || cnt[obs.PhaseCacheInsert] != 0 {
-		t.Fatalf("cache brackets %d/%d with memoization disabled, want 0/0",
+		t.Fatalf("cache brackets %d/%d, want 0/0",
 			cnt[obs.PhaseCacheProbe], cnt[obs.PhaseCacheInsert])
 	}
 	if cnt[obs.PhaseEval] != 3 {

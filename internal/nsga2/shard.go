@@ -3,6 +3,7 @@ package nsga2
 import (
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"sync"
 
@@ -91,13 +92,7 @@ func (m *chanMailbox) Depth() int { return len(m.ch) }
 // telemetry the in-process model emits.
 type ShardTick struct {
 	// Sess is the engine's cumulative evaluation-session counters.
-	Sess sched.DeltaStats
-	// Fitness-cache cumulative counters and current occupancy.
-	CacheHits, CacheMisses, CacheEvictions uint64
-	CacheSize, CacheCapacity               int
-	// Machine-bucket cache cumulative counters and current occupancy.
-	MachineCacheHits, MachineCacheMisses, MachineCacheEvictions uint64
-	MachineCacheSize, MachineCacheCapacity                      int
+	Sess sched.Stats
 	// Arena occupancy at the tick.
 	ArenaInUse, ArenaSlots int
 	// Migrants is the elite count this island sent at the tick (not
@@ -105,22 +100,12 @@ type ShardTick struct {
 	Migrants int
 }
 
-// Add accumulates o into t (sizes and capacities sum across shards;
-// Migrants stays per-island).
+// Add accumulates o into t (arena sizes sum across shards; Migrants
+// stays per-island).
 //
 //detlint:hotpath
 func (t *ShardTick) Add(o ShardTick) {
 	t.Sess.Add(o.Sess)
-	t.CacheHits += o.CacheHits
-	t.CacheMisses += o.CacheMisses
-	t.CacheEvictions += o.CacheEvictions
-	t.MachineCacheHits += o.MachineCacheHits
-	t.MachineCacheMisses += o.MachineCacheMisses
-	t.MachineCacheEvictions += o.MachineCacheEvictions
-	t.CacheSize += o.CacheSize
-	t.CacheCapacity += o.CacheCapacity
-	t.MachineCacheSize += o.MachineCacheSize
-	t.MachineCacheCapacity += o.MachineCacheCapacity
 	t.ArenaInUse += o.ArenaInUse
 	t.ArenaSlots += o.ArenaSlots
 }
@@ -133,18 +118,6 @@ func (t *ShardTick) Add(o ShardTick) {
 //detlint:hotpath
 func captureShard(eng *Engine, sent int) ShardTick {
 	ts := ShardTick{Sess: eng.sessionStats(), Migrants: sent}
-	if eng.cache != nil {
-		ts.CacheHits = eng.cache.stats.hits
-		ts.CacheMisses = eng.cache.stats.misses
-		ts.CacheEvictions = eng.cache.stats.evicts
-		ts.CacheSize, ts.CacheCapacity = eng.cache.live, len(eng.cache.slots)
-	}
-	if eng.mcache != nil {
-		ts.MachineCacheHits = eng.mcache.stats.hits
-		ts.MachineCacheMisses = eng.mcache.stats.misses
-		ts.MachineCacheEvictions = eng.mcache.stats.evicts
-		ts.MachineCacheSize, ts.MachineCacheCapacity = eng.mcache.live, len(eng.mcache.slots)
-	}
 	ts.ArenaInUse, ts.ArenaSlots = eng.arena.occupancy()
 	return ts
 }
@@ -160,28 +133,15 @@ func ShardStatsEvent(gen, population, numMachines int, agg, base ShardTick) obs.
 	diff := agg.Sess
 	diff.Sub(base.Sess)
 	return obs.GenerationStats{
-		Label:                 "islands",
-		Generation:            gen,
-		Population:            population,
-		FullEvals:             int(diff.FullEvals),
-		DeltaEvals:            int(diff.DeltaEvals),
-		MachinesSimulated:     int(diff.MachinesSimulated),
-		MachinesInherited:     int(diff.MachinesInherited),
-		TypedTasks:            int(diff.TypedTasks),
-		TypedRuns:             int(diff.TypedRuns),
-		CacheHits:             int(agg.CacheHits - base.CacheHits),
-		CacheMisses:           int(agg.CacheMisses - base.CacheMisses),
-		CacheEvictions:        int(agg.CacheEvictions - base.CacheEvictions),
-		CacheSize:             agg.CacheSize,
-		CacheCapacity:         agg.CacheCapacity,
-		MachineCacheHits:      int(agg.MachineCacheHits - base.MachineCacheHits),
-		MachineCacheMisses:    int(agg.MachineCacheMisses - base.MachineCacheMisses),
-		MachineCacheEvictions: int(agg.MachineCacheEvictions - base.MachineCacheEvictions),
-		MachineCacheSize:      agg.MachineCacheSize,
-		MachineCacheCapacity:  agg.MachineCacheCapacity,
-		ArenaInUse:            agg.ArenaInUse,
-		ArenaSlots:            agg.ArenaSlots,
-		NumMachines:           numMachines,
+		Label:             "islands",
+		Generation:        gen,
+		Population:        population,
+		FullEvals:         int(diff.Evals),
+		MachinesSimulated: int(diff.Machines),
+		TypedTasks:        int(diff.Tasks),
+		ArenaInUse:        agg.ArenaInUse,
+		ArenaSlots:        agg.ArenaSlots,
+		NumMachines:       numMachines,
 	}
 }
 
@@ -208,13 +168,17 @@ func RingTicks(start, target, interval, migrants, islands int) (firstTick, ntick
 // deadlock-free). global[i] is island i's position in the full ring
 // (used only for health gauges); recs[i][t] captures island i's
 // counters at its t-th tick. A mailbox error aborts the whole ring and
-// is reported from the lowest-indexed failing island.
+// is reported from the lowest-indexed failing island. A panic on an
+// island goroutine also aborts the ring, so peers blocked on a mailbox
+// wake; once every island has returned, the lowest-indexed island's
+// panic is re-raised on the caller as an *IslandPanic.
 func runRing(engines []*Engine, global []int, in, out []Mailbox, abort *ringAbort,
 	start, target, interval, migrants, nticks int,
 	phase *obs.PhaseTimer, health *obs.IslandBoard) ([][]ShardTick, error) {
 	n := len(engines)
 	recs := make([][]ShardTick, n)
 	errs := make([]error, n)
+	panics := make([]*IslandPanic, n)
 	for i := 0; i < n; i++ {
 		recs[i] = make([]ShardTick, nticks)
 	}
@@ -223,6 +187,10 @@ func runRing(engines []*Engine, global []int, in, out []Mailbox, abort *ringAbor
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			defer capturePanic(i, panics, func(p *IslandPanic) {
+				p.Island = global[i]
+				abort.trip()
+			})
 			eng, gi := engines[i], global[i]
 			t := 0
 			for g := start + 1; g <= target; g++ {
@@ -254,7 +222,6 @@ func runRing(engines []*Engine, global []int, in, out []Mailbox, abort *ringAbor
 				}
 				phase.Record(obs.PhaseMigration, t0)
 				health.SetMailboxDepth(gi, out[i].Depth())
-				health.SetCacheOccupancy(gi, cacheOccupancy(eng))
 				health.SetTick(gi, g)
 				recs[i][t] = captureShard(eng, len(elites))
 				t++
@@ -262,6 +229,7 @@ func runRing(engines []*Engine, global []int, in, out []Mailbox, abort *ringAbor
 		}(i)
 	}
 	wg.Wait()
+	raiseFirst(panics)
 	for i, err := range errs {
 		if err != nil && !errors.Is(err, errRingAborted) {
 			return nil, fmt.Errorf("nsga2: island %d: %w", global[i], err)
@@ -273,6 +241,45 @@ func runRing(engines []*Engine, global []int, in, out []Mailbox, abort *ringAbor
 		}
 	}
 	return recs, nil
+}
+
+// IslandPanic is a panic raised on an island's goroutine, re-raised on
+// the goroutine that ran the islands. Island is the island's index in
+// the full ring, Value the original panic value (a *WorkerPanic when
+// one of the island engine's fan-out workers panicked) and Stack the
+// island goroutine's stack when it panicked.
+type IslandPanic struct {
+	Island int
+	Value  any
+	Stack  []byte
+}
+
+func (p *IslandPanic) Error() string {
+	return fmt.Sprintf("nsga2: island %d panicked: %v\n\nisland goroutine stack:\n%s", p.Island, p.Value, p.Stack)
+}
+
+// capturePanic, deferred on island goroutine i, records a panic in
+// panics[i] and hands it to onPanic (which may be nil) — for example to
+// set the ring index and abort the ring.
+func capturePanic(i int, panics []*IslandPanic, onPanic func(*IslandPanic)) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	p := &IslandPanic{Island: i, Value: r, Stack: debug.Stack()}
+	if onPanic != nil {
+		onPanic(p)
+	}
+	panics[i] = p
+}
+
+// raiseFirst re-raises the lowest-indexed captured island panic, if any.
+func raiseFirst(panics []*IslandPanic) {
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 }
 
 // IslandShard is a contiguous slice [Lo, Hi) of an island-model ring,

@@ -70,7 +70,6 @@ func (e *Engine) Restore(s *Snapshot) error {
 	for i := range e.pop {
 		e.arena.putAlloc(e.pop[i].Alloc)
 		e.arena.putObjs(e.pop[i].Objectives)
-		e.arena.putContrib(e.pop[i].contrib)
 	}
 	e.pop = pop
 	e.generation = s.Generation

@@ -35,50 +35,35 @@ type GenerationStats struct {
 	// Front holds the current rank-1 objective vectors
 	// [utility, energy], sorted by descending utility. Borrowed.
 	Front [][]float64
-	// FullEvals and DeltaEvals count offspring evaluations this
-	// generation by kernel choice; FullEvals + DeltaEvals + CacheHits
-	// is the offspring count.
-	FullEvals  int
-	DeltaEvals int
-	// CacheHits, CacheMisses, and CacheEvictions count fitness-
-	// memoization activity this generation: hits skipped a simulation
-	// entirely, misses were simulated and memoized, evictions displaced
-	// older entries. All zero when memoization is disabled.
-	CacheHits      int
-	CacheMisses    int
-	CacheEvictions int
-	// CacheSize and CacheCapacity are the memoization table's live-entry
-	// count and entry bound after the step (zero when disabled).
-	CacheSize     int
-	CacheCapacity int
+	// FullEvals counts the evaluations this generation (one per
+	// offspring, plus any injected or restored individuals);
+	// MachinesSimulated counts the machine queues they simulated and
+	// TypedTasks the executed tasks.
+	FullEvals         int
+	MachinesSimulated int
+	TypedTasks        int
 	// ArenaInUse and ArenaSlots describe the population arena's
 	// structure-of-arrays slots: handed out vs carved in total.
 	ArenaInUse int
 	ArenaSlots int
-	// MachinesSimulated and MachinesInherited split per-machine work
-	// inside the evaluation kernels: simulated machines were re-run,
-	// inherited machines reused the parent's cached contribution rows.
-	MachinesSimulated int
-	MachinesInherited int
-	// MachineCacheHits, MachineCacheMisses, and MachineCacheEvictions
-	// count machine-bucket memoization activity this generation — the
-	// second cache level, keyed on per-machine bucket fingerprints. A
-	// hit skipped one machine's queue simulation. All zero when the
-	// level is disabled.
+	// The remaining counters belong to evaluation layers the engine no
+	// longer has — delta inheritance of parent rows, the chromosome and
+	// machine-bucket memoization caches, and the run-length typed
+	// kernel. The engine leaves them zero; they stay because the v4
+	// trace schema carries them.
+	DeltaEvals            int
+	MachinesInherited     int
+	CacheHits             int
+	CacheMisses           int
+	CacheEvictions        int
+	CacheSize             int
+	CacheCapacity         int
 	MachineCacheHits      int
 	MachineCacheMisses    int
 	MachineCacheEvictions int
-	// MachineCacheSize and MachineCacheCapacity are the machine-bucket
-	// table's live-entry count and entry bound after the step (zero when
-	// disabled).
-	MachineCacheSize     int
-	MachineCacheCapacity int
-	// TypedTasks and TypedRuns count the typed evaluation kernel's work
-	// this generation: tasks simulated and the same-type runs they
-	// compressed into. TypedTasks / TypedRuns is the type-compression
-	// ratio; both zero under the scalar kernel.
-	TypedTasks int
-	TypedRuns  int
+	MachineCacheSize      int
+	MachineCacheCapacity  int
+	TypedRuns             int
 	// DirtyCounts[i] is the number of machines touched by variation for
 	// offspring i (the dirty-machine distribution). Borrowed.
 	DirtyCounts []int
@@ -106,7 +91,8 @@ func (g *GenerationStats) PhaseTotalNanos() int64 {
 }
 
 // CacheHitRate returns the generation's fitness-cache hit fraction,
-// hits / (hits + misses), or 0 when the cache saw no lookups.
+// hits / (hits + misses), or 0 when the cache saw no lookups (always,
+// for the current engine).
 func (g *GenerationStats) CacheHitRate() float64 {
 	if n := g.CacheHits + g.CacheMisses; n > 0 {
 		return float64(g.CacheHits) / float64(n)
@@ -119,15 +105,6 @@ func (g *GenerationStats) CacheHitRate() float64 {
 func (g *GenerationStats) MachineCacheHitRate() float64 {
 	if n := g.MachineCacheHits + g.MachineCacheMisses; n > 0 {
 		return float64(g.MachineCacheHits) / float64(n)
-	}
-	return 0
-}
-
-// TypeCompression returns the typed kernel's tasks-per-run ratio this
-// generation, or 0 when the typed kernel simulated nothing.
-func (g *GenerationStats) TypeCompression() float64 {
-	if g.TypedRuns > 0 {
-		return float64(g.TypedTasks) / float64(g.TypedRuns)
 	}
 	return 0
 }

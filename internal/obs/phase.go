@@ -19,13 +19,15 @@ const (
 	// PhaseVariation is the parallel crossover + order-repair +
 	// mutation fan-out, including the offspring arena draws.
 	PhaseVariation
-	// PhaseCacheProbe is the serial fitness-memoization probe bracket.
+	// PhaseCacheProbe was the fitness-memoization probe bracket. The
+	// cache is gone, so the phase reads 0; it stays because the v4 trace
+	// and existing consumers index phases by position.
 	PhaseCacheProbe
-	// PhaseEval is offspring evaluation: the prepare fan-out, the
-	// serial machine-cache probe, the parallel simulation, and the
-	// serial machine-cache insert.
+	// PhaseEval is offspring evaluation: the fan-out walking every
+	// offspring's slot array.
 	PhaseEval
-	// PhaseCacheInsert is the serial fitness-memoization insert bracket.
+	// PhaseCacheInsert was the fitness-memoization insert bracket; it
+	// reads 0, like PhaseCacheProbe.
 	PhaseCacheInsert
 	// PhaseSort is survivor selection over the 2N meta-population:
 	// nondominated sort, crowding distance, and the truncated fill.

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"math"
 	"slices"
 	"testing"
 
@@ -9,6 +8,14 @@ import (
 	"tradeoff/internal/rng"
 	"tradeoff/internal/workload"
 )
+
+// The NSGA-II engine never re-derives an offspring's slot array from
+// scratch: order repair after crossover writes it as a by-product, and
+// mutation patches it in O(1) per edit. The tests in this file drive
+// such edit sequences — each child a small delta from its parent —
+// through one reused SlotSession, and check every child against the
+// per-machine reference bit for bit: the objective totals, each
+// machine's row, and the patched slot array itself.
 
 // deltaEval builds an evaluator over the real system with n tasks.
 func deltaEval(t testing.TB, n int, seed uint64) *Evaluator {
@@ -25,93 +32,28 @@ func deltaEval(t testing.TB, n int, seed uint64) *Evaluator {
 	return e
 }
 
-func evaluationsClose(a, b Evaluation) bool {
-	near := func(x, y float64) bool {
-		diff := math.Abs(x - y)
-		scale := math.Max(math.Abs(x), math.Abs(y))
-		return diff <= 1e-9 || diff <= 1e-12*scale
-	}
-	return near(a.Utility, b.Utility) && near(a.Energy, b.Energy) &&
-		near(a.Makespan, b.Makespan) && a.Completed == b.Completed
-}
-
-// TestEvaluateFullMatchesSession cross-checks the machine-major kernel
-// against the task-major Session sweep. The two sum the same per-task
-// terms in different orders, so they agree to rounding, not bitwise.
-func TestEvaluateFullMatchesSession(t *testing.T) {
-	for _, cfg := range []struct {
-		n        int
-		idle     bool
-		dropping bool
-	}{
-		{40, false, false}, {40, true, false}, {40, false, true}, {40, true, true},
-		{250, false, false}, {250, true, true},
-	} {
-		e := deltaEval(t, cfg.n, uint64(1000+cfg.n))
-		if cfg.idle {
-			watts := make([]float64, e.System().NumMachineTypes())
-			for i := range watts {
-				watts[i] = 5 + float64(i)
-			}
-			if err := e.SetIdlePower(watts); err != nil {
-				t.Fatal(err)
-			}
-		}
-		e.AllowDropping = cfg.dropping
-		sess := e.NewSession()
-		ds := e.NewDeltaSession()
-		contribs := e.NewContribs()
-		src := rng.New(uint64(7 + cfg.n))
-		for trial := 0; trial < 25; trial++ {
-			a := e.RandomAllocation(src)
-			if cfg.dropping {
-				for i := 0; i < a.Len(); i++ {
-					if src.Bool(0.2) {
-						a.Machine[i] = Dropped
-					}
-				}
-			}
-			want := sess.Evaluate(a)
-			got := ds.EvaluateFull(a, contribs)
-			if !evaluationsClose(got, want) {
-				t.Fatalf("n=%d idle=%v drop=%v trial %d: full %+v vs session %+v",
-					cfg.n, cfg.idle, cfg.dropping, trial, got, want)
-			}
-		}
-	}
-}
-
-// mutateAlloc applies the engine's mutation operator semantics and
-// returns the dirtied machines: reassign one gene to a random eligible
-// machine (or drop it), and swap two genes' global orders.
-func mutateAlloc(e *Evaluator, a *Allocation, src *rng.Source, dirty []bool, allowDrop bool) {
+// mutateAlloc applies the engine's mutation operator — reassign one gene
+// to a random eligible machine (or drop it), and swap two genes' global
+// orders — patching the slot array in place the way the engine does.
+func mutateAlloc(e *Evaluator, a *Allocation, slots []uint64, src *rng.Source, allowDrop bool) {
 	n := a.Len()
 	g := src.Intn(n)
-	if old := a.Machine[g]; old >= 0 {
-		dirty[old] = true
-	}
 	if allowDrop && src.Bool(0.3) {
 		a.Machine[g] = Dropped
 	} else {
-		el := e.Eligible(int(e.taskType[g]))
+		el := e.Eligible(e.Trace().Tasks[g].Type)
 		a.Machine[g] = int32(el[src.Intn(len(el))])
-		dirty[a.Machine[g]] = true
 	}
+	slots[a.Order[g]] = PackSlot(a.Machine[g], g)
 	x, y := src.Intn(n), src.Intn(n)
-	a.Order[x], a.Order[y] = a.Order[y], a.Order[x]
-	if m := a.Machine[x]; m >= 0 {
-		dirty[m] = true
-	}
-	if m := a.Machine[y]; m >= 0 {
-		dirty[m] = true
-	}
+	ox, oy := a.Order[x], a.Order[y]
+	a.Order[x], a.Order[y] = oy, ox
+	slots[ox], slots[oy] = slots[oy], slots[ox]
 }
 
 // crossAlloc applies the engine's segment-swap crossover with re-rank
-// repair to two allocations in place, marking the candidate-dirty
-// machines of both children (the same set: every machine present in the
-// swapped segment of either side).
-func crossAlloc(a, b *Allocation, src *rng.Source, dirty []bool) {
+// repair to two allocations in place.
+func crossAlloc(a, b *Allocation, src *rng.Source) {
 	n := a.Len()
 	i, j := src.Intn(n), src.Intn(n)
 	if i > j {
@@ -120,12 +62,6 @@ func crossAlloc(a, b *Allocation, src *rng.Source, dirty []bool) {
 	for k := i; k <= j; k++ {
 		a.Machine[k], b.Machine[k] = b.Machine[k], a.Machine[k]
 		a.Order[k], b.Order[k] = b.Order[k], a.Order[k]
-		if m := a.Machine[k]; m >= 0 {
-			dirty[m] = true
-		}
-		if m := b.Machine[k]; m >= 0 {
-			dirty[m] = true
-		}
 	}
 	repairRerank(a.Order)
 	repairRerank(b.Order)
@@ -145,71 +81,74 @@ func repairRerank(ord []int32) {
 	}
 }
 
-// runDeltaSequence drives a random variation sequence, checking after
-// every step that EvaluateDelta against the previous step's cache is
-// bit-identical to EvaluateFull.
+// requireChildMatches fails unless evaluating the child's slot array
+// with sess reproduces the reference bit for bit, totals and every
+// machine's row.
+func requireChildMatches(t *testing.T, label string, e *Evaluator, sess *SlotSession, a *Allocation, slots []uint64) {
+	t.Helper()
+	got, want := sess.EvaluateSlots(slots), referenceSlots(e, a)
+	if got != want {
+		t.Fatalf("%s: slot walk %+v != reference %+v", label, got, want)
+	}
+	rows, _ := referenceRows(e, a)
+	for m := range rows {
+		if sess.acc[m] != rows[m] {
+			t.Fatalf("%s machine %d: row %+v != reference %+v", label, m, sess.acc[m], rows[m])
+		}
+	}
+}
+
+// runDeltaSequence drives a random variation sequence — crossover with
+// repair (the slot array rewritten, as repair does), mutation (the slot
+// array patched), or both — and checks every child with one reused
+// session.
 func runDeltaSequence(t *testing.T, e *Evaluator, seed uint64, steps int, allowDrop bool) {
 	t.Helper()
 	e.AllowDropping = e.AllowDropping || allowDrop
 	src := rng.New(seed)
-	ds := e.NewDeltaSession()
-	nm := e.NumMachines()
+	sess := e.NewSlotSession()
 
 	cur := e.RandomAllocation(src)
 	other := e.RandomAllocation(src)
-	parent := e.NewContribs()
-	child := e.NewContribs()
-	full := e.NewContribs()
-	ds.EvaluateFull(cur, parent)
-	dirty := make([]bool, nm)
+	curSlots := make([]uint64, cur.Len())
+	ScatterSlots(cur, curSlots)
+	requireChildMatches(t, "initial", e, sess, cur, curSlots)
+	fresh := make([]uint64, cur.Len())
 
 	for s := 0; s < steps; s++ {
-		for m := range dirty {
-			dirty[m] = false
-		}
-		// Alternate crossover-style and mutation-style edits, sometimes
-		// both, mirroring the engine's variation pipeline.
 		next := cur.Clone()
+		nextSlots := slices.Clone(curSlots)
 		if src.Bool(0.6) {
-			crossAlloc(next, other, src, dirty)
+			crossAlloc(next, other, src)
+			ScatterSlots(next, nextSlots)
 		}
 		if src.Bool(0.5) {
-			mutateAlloc(e, next, src, dirty, allowDrop)
+			mutateAlloc(e, next, nextSlots, src, allowDrop)
 		}
-		got := ds.EvaluateDelta(next, parent, dirty, child)
-		want := ds.EvaluateFull(next, full)
-		if got != want {
-			t.Fatalf("step %d: delta %+v != full %+v (dirty %v)", s, got, want, dirty)
+		if err := e.Validate(next); err != nil {
+			t.Fatalf("step %d: child invalid: %v", s, err)
 		}
-		for m := 0; m < nm; m++ {
-			if child.Utility[m] != full.Utility[m] || child.Energy[m] != full.Energy[m] ||
-				child.Busy[m] != full.Busy[m] || child.Ready[m] != full.Ready[m] ||
-				child.Done[m] != full.Done[m] {
-				t.Fatalf("step %d machine %d: delta row diverged from full", s, m)
-			}
+		ScatterSlots(next, fresh)
+		if !slices.Equal(nextSlots, fresh) {
+			t.Fatalf("step %d: patched slot array diverged from a fresh scatter", s)
 		}
+		requireChildMatches(t, "step", e, sess, next, nextSlots)
 		cur, other = next, cur
-		parent, child = child, parent
+		curSlots = nextSlots
 	}
 }
 
-// TestEvaluateDeltaBitIdenticalToFull is the core incremental-evaluation
+// TestEvaluateDeltaBitIdenticalToFull is the incremental-evaluation
 // property: over random crossover/mutation sequences, with idle power
-// and dropping both on and off, the delta path must reproduce the full
-// machine-major evaluation bit for bit.
+// and dropping both on and off, evaluating each child from its edited
+// slot array must reproduce the full per-machine reference bit for bit.
 func TestEvaluateDeltaBitIdenticalToFull(t *testing.T) {
 	for _, n := range []int{1, 7, 60, 250} {
 		for _, idle := range []bool{false, true} {
 			for _, drop := range []bool{false, true} {
 				e := deltaEval(t, n, uint64(40+n))
 				if idle {
-					watts := make([]float64, e.System().NumMachineTypes())
-					for i := range watts {
-						watts[i] = 2 * float64(i+1)
-					}
-					if err := e.SetIdlePower(watts); err != nil {
-						t.Fatal(err)
-					}
+					setIdle(t, e)
 				}
 				runDeltaSequence(t, e, uint64(n)*31+7, 40, drop)
 			}
@@ -217,38 +156,41 @@ func TestEvaluateDeltaBitIdenticalToFull(t *testing.T) {
 	}
 }
 
-// TestEvaluateDeltaFallsBackWithoutParent checks the structural
-// fallbacks: an invalid or aliased parent cache must route to a full
-// evaluation rather than inherit garbage.
+// TestEvaluateDeltaFallsBackWithoutParent checks that a child's
+// evaluation owes nothing to its parent's: the session carries no state
+// from one call to the next. A fresh session, one that has just
+// evaluated the parent, one holding garbage accumulators, and one fed
+// its own Evaluate scratch must all match the reference.
 func TestEvaluateDeltaFallsBackWithoutParent(t *testing.T) {
 	e := deltaEval(t, 30, 9)
-	ds := e.NewDeltaSession()
+	setIdle(t, e)
 	src := rng.New(11)
-	a := e.RandomAllocation(src)
-	dirty := make([]bool, e.NumMachines())
+	parent := e.RandomAllocation(src)
+	child := parent.Clone()
+	childSlots := make([]uint64, child.Len())
+	ScatterSlots(child, childSlots)
+	mutateAlloc(e, child, childSlots, src, false)
+	want := referenceSlots(e, child)
 
-	dst := e.NewContribs()
-	want := ds.EvaluateFull(a, e.NewContribs())
-	if got := ds.EvaluateDelta(a, nil, dirty, dst); got != want {
-		t.Fatalf("nil parent: %+v != %+v", got, want)
+	if got := e.NewSlotSession().EvaluateSlots(childSlots); got != want {
+		t.Fatalf("fresh session: %+v != %+v", got, want)
 	}
-	stale := e.NewContribs()
-	stale.Invalidate()
-	if got := ds.EvaluateDelta(a, stale, dirty, dst); got != want {
-		t.Fatalf("invalid parent: %+v != %+v", got, want)
+	warm := e.NewSlotSession()
+	warm.Evaluate(parent)
+	requireChildMatches(t, "after parent", e, warm, child, childSlots)
+
+	for m := range warm.acc {
+		warm.acc[m] = machineAcc{ready: 1e300, busy: -1, util: 7, energy: 1e9}
 	}
-	// Self-aliased parent/dst must not read rows it is overwriting.
-	self := e.NewContribs()
-	ds.EvaluateFull(a, self)
-	b := a.Clone()
-	mutateAlloc(e, b, src, dirty, false)
-	if got, wantB := ds.EvaluateDelta(b, self, dirty, self), ds.EvaluateFull(b, e.NewContribs()); got != wantB {
-		t.Fatalf("aliased dst: %+v != %+v", got, wantB)
-	}
+	requireChildMatches(t, "garbage accumulators", e, warm, child, childSlots)
+
+	// The session's own scatter scratch as input must not be disturbed.
+	warm.Evaluate(child)
+	requireChildMatches(t, "own scratch", e, warm, child, warm.slots)
 }
 
 // FuzzEvaluateDelta drives arbitrary-seeded variation sequences through
-// the delta-vs-full cross-check.
+// the incremental-vs-reference cross-check.
 func FuzzEvaluateDelta(f *testing.F) {
 	f.Add(uint64(1), uint8(20), false, false)
 	f.Add(uint64(99), uint8(60), true, true)
@@ -257,13 +199,7 @@ func FuzzEvaluateDelta(f *testing.F) {
 		n := 1 + int(nRaw)%120
 		e := deltaEval(t, n, seed|1)
 		if idle {
-			watts := make([]float64, e.System().NumMachineTypes())
-			for i := range watts {
-				watts[i] = float64(i%7) + 0.5
-			}
-			if err := e.SetIdlePower(watts); err != nil {
-				t.Fatal(err)
-			}
+			setIdle(t, e)
 		}
 		runDeltaSequence(t, e, seed^0x9e3779b97f4a7c15, 12, drop)
 	})

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"math"
-	"sort"
 	"testing"
 
 	"tradeoff/internal/data"
@@ -10,46 +9,75 @@ import (
 	"tradeoff/internal/workload"
 )
 
-// referenceEvaluate is an independent, deliberately naive implementation
-// of the schedule semantics, used as a differential-testing oracle for
-// Session.Evaluate: build each machine's queue explicitly, sort it by
-// global order, and walk it accumulating start/completion times.
-func referenceEvaluate(e *Evaluator, a *Allocation) Evaluation {
-	type queued struct {
-		task  int
-		order int
-	}
-	queues := make(map[int][]queued)
-	for i := 0; i < a.Len(); i++ {
-		m := int(a.Machine[i])
-		if m == Dropped {
-			continue
+// simMachine is the per-machine scalar reference for the slot-order
+// kernel: it simulates one machine's task sequence in execution order,
+// reading ETC/EEC from the per-type tables and utility from each task's
+// source Function (not the compiled, deduplicated table).
+func simMachine(e *Evaluator, m int, tasks []int) machineAcc {
+	var acc machineAcc
+	for _, ti := range tasks {
+		task := &e.trace.Tasks[ti]
+		start := acc.ready
+		if task.Arrival > start {
+			start = task.Arrival // machine idles until the task arrives
 		}
-		queues[m] = append(queues[m], queued{task: i, order: int(a.Order[i])})
+		etc := e.ETCInstance(task.Type, m)
+		completion := start + etc
+		acc.ready = completion
+		acc.busy += etc
+		acc.util += task.TUF.Value(completion - task.Arrival)
+		acc.energy += e.EECInstance(task.Type, m)
 	}
-	var ev Evaluation
-	tasks := e.Trace().Tasks
-	// Accumulate in ascending machine order so the float sums are
-	// reproducible; map iteration order would reassociate them.
-	machines := make([]int, 0, len(queues))
-	for m := range queues {
-		machines = append(machines, m)
+	return acc
+}
+
+// referenceRows gathers every machine's queue in execution order and
+// simulates each machine with simMachine. It returns the per-machine
+// rows and the number of executed tasks.
+func referenceRows(e *Evaluator, a *Allocation) ([]machineAcc, int) {
+	n, nm := a.Len(), e.NumMachines()
+	byOrder := make([]int, n)
+	for i := 0; i < n; i++ {
+		byOrder[a.Order[i]] = i
 	}
-	sort.Ints(machines)
-	for _, m := range machines {
-		q := queues[m]
-		sort.Slice(q, func(x, y int) bool { return q[x].order < q[y].order })
-		clock := 0.0
-		for _, item := range q {
-			task := tasks[item.task]
-			start := math.Max(clock, task.Arrival)
-			completion := start + e.ETCInstance(task.Type, m)
-			clock = completion
-			ev.Utility += task.TUF.Value(completion - task.Arrival)
-			ev.Energy += e.EECInstance(task.Type, m)
-			ev.Makespan = math.Max(ev.Makespan, completion)
-			ev.Completed++
+	queues := make([][]int, nm)
+	done := 0
+	for _, ti := range byOrder {
+		if m := a.Machine[ti]; m != Dropped {
+			queues[m] = append(queues[m], ti)
+			done++
 		}
+	}
+	rows := make([]machineAcc, nm)
+	for m := range rows {
+		rows[m] = simMachine(e, m, queues[m])
+	}
+	return rows, done
+}
+
+// referenceSlots is the independent, deliberately plain oracle for both
+// evaluators: simulate every machine's queue with referenceRows and fold
+// the rows in machine order, idle energy included. SlotSession must
+// match it bit for bit; the task-major Session sums in another order and
+// matches it to rounding.
+func referenceSlots(e *Evaluator, a *Allocation) Evaluation {
+	rows, done := referenceRows(e, a)
+	ev := Evaluation{Completed: done}
+	for m := range rows {
+		ev.Utility += rows[m].util
+		ev.Energy += rows[m].energy
+		if rows[m].ready > ev.Makespan {
+			ev.Makespan = rows[m].ready
+		}
+	}
+	if e.idleWatts != nil {
+		var sum float64
+		for m, w := range e.idleWatts {
+			if idle := rows[m].ready - rows[m].busy; idle > 0 {
+				sum += w * idle
+			}
+		}
+		ev.Energy += sum
 	}
 	return ev
 }
@@ -70,7 +98,7 @@ func TestEvaluateAgainstReferenceImplementation(t *testing.T) {
 		for trial := 0; trial < 30; trial++ {
 			a := e.RandomAllocation(src)
 			got := sess.Evaluate(a)
-			want := referenceEvaluate(e, a)
+			want := referenceSlots(e, a)
 			if math.Abs(got.Utility-want.Utility) > 1e-9 ||
 				math.Abs(got.Energy-want.Energy) > 1e-9 ||
 				math.Abs(got.Makespan-want.Makespan) > 1e-9 ||
@@ -102,7 +130,7 @@ func TestEvaluateAgainstReferenceWithDrops(t *testing.T) {
 			}
 		}
 		got := sess.Evaluate(a)
-		want := referenceEvaluate(e, a)
+		want := referenceSlots(e, a)
 		if math.Abs(got.Utility-want.Utility) > 1e-9 || math.Abs(got.Energy-want.Energy) > 1e-9 ||
 			got.Completed != want.Completed {
 			t.Fatalf("trial %d: fast %+v vs reference %+v", trial, got, want)
@@ -129,7 +157,7 @@ func TestEvaluateAgainstReferenceOnEnlargedSystem(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		a := e.RandomAllocation(src)
 		got := sess.Evaluate(a)
-		want := referenceEvaluate(e, a)
+		want := referenceSlots(e, a)
 		if math.Abs(got.Utility-want.Utility) > 1e-9 || math.Abs(got.Energy-want.Energy) > 1e-9 {
 			t.Fatalf("trial %d mismatch", trial)
 		}

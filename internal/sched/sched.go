@@ -96,41 +96,40 @@ type Evaluator struct {
 	eec [][]float64
 	// etc[t][m] caches ETC of task-type t on machine instance m.
 	etc [][]float64
-	// etcT and eecT are the machine-major transposes [m][t], so the
-	// machine-major kernel walks one row per machine.
-	etcT [][]float64
-	eecT [][]float64
+	// costs[m*numTaskTypes+t] is the (execution time, energy) pair of
+	// task type t on machine instance m: the machine-major layout the
+	// slot-order kernel reads, both values on one cache line.
+	costs []machineCost
 	// eligible[t] lists machine instances capable of task type t.
 	eligible [][]int
 
-	// Per-task flattened trace data for the evaluation hot loops: task
-	// type, arrival time, and the compiled time-utility functions (one
-	// table entry per task, bit-identical to Task.TUF.Value).
-	taskType []int32
-	arrival  []float64
-	tufs     *utility.Table
-	// tufTailT and tufTailV mirror the compiled TUF table's per-task
-	// tail guard (threshold and past-threshold value), hoisted into flat
-	// arrays so the typed kernel resolves the common saturated case
-	// without a Table.Value call. Substituting tufTailV past tufTailT is
-	// bit-identical to Value by the Table accessors' contract.
-	tufTailT []float64
-	tufTailV []float64
-	// meta interleaves the four per-task hot-loop fields into one
-	// 32-byte record so the simulation kernels touch a single cache
-	// line per task instead of gathering from four parallel arrays.
+	// tufs holds the compiled time-utility functions, deduplicated: tasks
+	// with bit-identical functions share one program.
+	tufs *utility.Table
+	// meta interleaves the per-task hot-loop fields into one 32-byte
+	// record so the simulation kernel touches a single cache line per
+	// task instead of gathering from parallel arrays.
 	meta []taskMeta
 }
 
-// taskMeta is the per-task record of everything the machine-major
-// simulation kernels read: arrival time, hoisted TUF tail guard, and
-// task type. Sized and padded to 32 bytes — two records per cache line.
+// machineCost is one (task type, machine instance) cell of the ETC and
+// EEC tables.
+type machineCost struct {
+	etc, eec float64
+}
+
+// taskMeta is the per-task record of everything the slot-order
+// simulation kernel reads: arrival time, hoisted TUF tail guard
+// (threshold and past-threshold value, bit-identical to Table.Value past
+// the threshold by the Table accessors' contract), task type, and the
+// id of the task's compiled TUF program. Sized to 32 bytes — two records
+// per cache line.
 type taskMeta struct {
 	arrival float64
 	tailT   float64
 	tailV   float64
 	ty      int32
-	_       int32
+	prog    int32
 }
 
 // NewEvaluator validates the trace against the system and precomputes
@@ -157,41 +156,27 @@ func NewEvaluator(sys *hcs.System, trace *workload.Trace) (*Evaluator, error) {
 		}
 		e.eligible[t] = sys.EligibleMachines(t)
 	}
-	e.etcT = make([][]float64, nm)
-	e.eecT = make([][]float64, nm)
+	e.costs = make([]machineCost, nm*nt)
 	for m := 0; m < nm; m++ {
-		e.etcT[m] = make([]float64, nt)
-		e.eecT[m] = make([]float64, nt)
 		for t := 0; t < nt; t++ {
-			e.etcT[m][t] = e.etc[t][m]
-			e.eecT[m][t] = e.eec[t][m]
+			e.costs[m*nt+t] = machineCost{etc: e.etc[t][m], eec: e.eec[t][m]}
 		}
 	}
 	n := trace.NumTasks()
-	e.taskType = make([]int32, n)
-	e.arrival = make([]float64, n)
-	e.tufs = utility.NewTable(n, 2*n)
+	e.tufs = utility.NewTable(0, 0)
+	e.meta = make([]taskMeta, n)
 	for i := range trace.Tasks {
 		task := &trace.Tasks[i]
-		e.taskType[i] = int32(task.Type)
-		e.arrival[i] = task.Arrival
-		if _, err := e.tufs.Add(task.TUF); err != nil {
+		prog, err := e.tufs.Add(task.TUF)
+		if err != nil {
 			return nil, fmt.Errorf("sched: task %d TUF: %w", i, err)
 		}
-	}
-	e.tufTailT = make([]float64, n)
-	e.tufTailV = make([]float64, n)
-	for i := 0; i < n; i++ {
-		e.tufTailT[i] = e.tufs.TailThreshold(i)
-		e.tufTailV[i] = e.tufs.TailValue(i)
-	}
-	e.meta = make([]taskMeta, n)
-	for i := 0; i < n; i++ {
 		e.meta[i] = taskMeta{
-			arrival: e.arrival[i],
-			tailT:   e.tufTailT[i],
-			tailV:   e.tufTailV[i],
-			ty:      e.taskType[i],
+			arrival: task.Arrival,
+			tailT:   e.tufs.TailThreshold(prog),
+			tailV:   e.tufs.TailValue(prog),
+			ty:      int32(task.Type),
+			prog:    int32(prog),
 		}
 	}
 	return e, nil
@@ -349,7 +334,7 @@ func (s *Session) Evaluate(a *Allocation) Evaluation {
 		completion := start + etc
 		s.ready[m] = completion
 		s.busy[m] += etc
-		ev.Utility += e.tufs.Value(ti, completion-task.Arrival)
+		ev.Utility += e.tufs.Value(int(e.meta[ti].prog), completion-task.Arrival)
 		ev.Energy += e.eec[task.Type][m]
 		if completion > ev.Makespan {
 			ev.Makespan = completion
@@ -391,7 +376,7 @@ func (s *Session) CompletionTimes(a *Allocation) ([]float64, Evaluation) {
 		s.ready[m] = completion
 		s.busy[m] += etc
 		times[ti] = completion
-		ev.Utility += e.tufs.Value(ti, completion-task.Arrival)
+		ev.Utility += e.tufs.Value(int(e.meta[ti].prog), completion-task.Arrival)
 		ev.Energy += e.eec[task.Type][m]
 		if completion > ev.Makespan {
 			ev.Makespan = completion

@@ -1,6 +1,7 @@
 package utility
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -13,10 +14,18 @@ import (
 // the same floating-point operations in the same order, only the data
 // layout changes.
 //
+// Add deduplicates: a function bit-identical to one already compiled
+// shares that function's program id, so a trace whose tasks draw their
+// functions from a small family compiles only the distinct members.
+//
 // A Table is immutable after construction and safe for concurrent use.
 type Table struct {
 	progs []tableProg
 	segs  []tableSeg
+	// ids maps a compiled function's key (see appendKey) to its program
+	// id; key is the scratch Add builds keys in.
+	ids map[string]int32
+	key []byte
 }
 
 // tableProg is one compiled function: a segment range plus the scalars
@@ -57,16 +66,26 @@ func NewTable(n, totalSegs int) *Table {
 	return &Table{
 		progs: make([]tableProg, 0, n),
 		segs:  make([]tableSeg, 0, totalSegs),
+		ids:   make(map[string]int32, n),
 	}
 }
 
 // Add compiles a validated function into the table and returns its id.
-// The function is copied; later mutation of f does not affect the table.
+// If a bit-identical function — same priority and tail, and the same
+// duration, start, end and shape in every segment, floats compared by
+// their bits — was added before, Add returns that function's id instead
+// of compiling a copy. The function is copied; later mutation of f does
+// not affect the table.
 func (tb *Table) Add(f *Function) (int, error) {
 	if err := f.Validate(); err != nil {
 		return 0, fmt.Errorf("utility: compiling invalid function: %w", err)
 	}
+	tb.key = appendKey(tb.key[:0], f)
+	if id, ok := tb.ids[string(tb.key)]; ok {
+		return int(id), nil
+	}
 	id := len(tb.progs)
+	tb.ids[string(tb.key)] = int32(id)
 	off := int32(len(tb.segs))
 	var total float64
 	for _, seg := range f.Segments {
@@ -90,7 +109,22 @@ func (tb *Table) Add(f *Function) (int, error) {
 	return id, nil
 }
 
-// Len returns the number of compiled functions.
+// appendKey appends f's deduplication key to b: the bits of its
+// priority, its tail, and every segment's duration, start, end and
+// shape.
+func appendKey(b []byte, f *Function) []byte {
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f.Priority))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f.TailFrac))
+	for _, sg := range f.Segments {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(sg.Duration))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(sg.StartFrac))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(sg.EndFrac))
+		b = binary.LittleEndian.AppendUint64(b, uint64(sg.Shape))
+	}
+	return b
+}
+
+// Len returns the number of distinct compiled functions.
 func (tb *Table) Len() int { return len(tb.progs) }
 
 // TailThreshold returns the compiled function's tail guard: any elapsed

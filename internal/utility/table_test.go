@@ -92,6 +92,69 @@ func TestTableRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestTableAddDedup checks Add's deduplication: a bit-identical function
+// shares its program id, while a function differing in one ulp of any
+// float field, or in one segment's shape, compiles to a new program.
+func TestTableAddDedup(t *testing.T) {
+	base := func() *Function {
+		return &Function{Priority: 8, TailFrac: 0.1, Segments: []Segment{
+			{Duration: 30, StartFrac: 1, EndFrac: 1, Shape: Constant},
+			{Duration: 50, StartFrac: 0.9, EndFrac: 0.4, Shape: Linear},
+			{Duration: 70, StartFrac: 0.4, EndFrac: 0.2, Shape: Exponential},
+		}}
+	}
+	up := func(x float64) float64 { return math.Nextafter(x, math.Inf(1)) }
+	down := func(x float64) float64 { return math.Nextafter(x, 0) }
+	variants := map[string]func(f *Function){
+		"priority":  func(f *Function) { f.Priority = up(f.Priority) },
+		"tail":      func(f *Function) { f.TailFrac = down(f.TailFrac) },
+		"duration":  func(f *Function) { f.Segments[1].Duration = up(f.Segments[1].Duration) },
+		"start":     func(f *Function) { f.Segments[2].StartFrac = down(f.Segments[2].StartFrac) },
+		"end":       func(f *Function) { f.Segments[1].EndFrac = up(f.Segments[1].EndFrac) },
+		"shape":     func(f *Function) { f.Segments[2].Shape = Linear },
+		"flat-line": func(f *Function) { f.Segments[0].Shape = Linear },
+		"segments":  func(f *Function) { f.Segments = f.Segments[:2] },
+	}
+	tb := NewTable(0, 0)
+	id0, err := tb.Add(base())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, err := tb.Add(base()); err != nil || id != id0 {
+		t.Fatalf("bit-identical function got id %d (err %v), want %d", id, err, id0)
+	}
+	seen := map[int]string{id0: "base"}
+	for _, name := range []string{"priority", "tail", "duration", "start", "end", "shape", "flat-line", "segments"} {
+		f := base()
+		variants[name](f)
+		id, err := tb.Add(f)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if prev, dup := seen[id]; dup {
+			t.Fatalf("%s variant shares id %d with %s", name, id, prev)
+		}
+		seen[id] = name
+		if again, _ := tb.Add(f); again != id {
+			t.Fatalf("%s variant re-added as id %d, want %d", name, again, id)
+		}
+		for _, at := range []float64{0, 20, 45, 100, 140, 1000} {
+			if got, want := tb.Value(id, at), f.Value(at); got != want {
+				t.Fatalf("%s variant at t=%v: table %v vs function %v", name, at, got, want)
+			}
+		}
+	}
+	if tb.Len() != len(seen) {
+		t.Fatalf("Len = %d, want %d distinct programs", tb.Len(), len(seen))
+	}
+	// Re-adding a known function, the common case on a real trace, must
+	// not allocate.
+	f := base()
+	if n := testing.AllocsPerRun(100, func() { tb.Add(f) }); n != 0 {
+		t.Fatalf("Add of a known function allocates %.1f times, want 0", n)
+	}
+}
+
 // FuzzTableValue feeds arbitrary segment data and times; wherever the
 // source function validates, the table must agree exactly.
 func FuzzTableValue(f *testing.F) {
