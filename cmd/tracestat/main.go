@@ -9,21 +9,14 @@
 //	tracestat run.jsonl
 //	tracestat -json < run.jsonl
 //	tracestat -stall-window 100 -fail-on-stall run.jsonl
-//	tracestat run.jsonl.w0 run.jsonl.w1
 //
-// Several trace files merge into one analysis — the shape a distributed
-// run leaves behind: one worker-local trace per -distribute process
-// (suffix .wN), each covering only that worker's island shard.
-// Migration summaries aggregate across files, so the islands section
-// reconstructs the full ring — total migrant counts and the tick skew
-// between islands (max - min last migration generation) — even though
-// no single worker logged every edge; a straggling worker's islands
-// show up as nonzero skew. (Merge the worker traces OR analyze the
-// parent's authoritative trace alone; merging both would count the
-// shared events twice.)
+// It reads one trace: the named file, or stdin when no file is given.
+// The islands section summarizes the ring — per-island migrant counts
+// and the tick skew between islands (max - min last migration
+// generation).
 //
-// Each trace is validated first (the same schema rules as tracecheck);
-// analysis of valid traces prints a text report, or the full analysis
+// The trace is validated first (the same schema rules as tracecheck);
+// analysis of a valid trace prints a text report, or the full analysis
 // as JSON with -json. Exit status mirrors tracecheck: 0 on success, 1
 // for an invalid trace, 2 for usage or I/O errors — plus 3 when
 // -fail-on-stall is set and a hypervolume plateau of at least
@@ -36,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"tradeoff/internal/obs"
 )
@@ -51,23 +43,22 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	var ins []io.Reader
-	name := "stdin"
-	if fs.NArg() == 0 {
-		ins = []io.Reader{stdin}
-	} else {
-		for _, arg := range fs.Args() {
-			f, err := os.Open(arg)
-			if err != nil {
-				fmt.Fprintln(stderr, "tracestat:", err)
-				return 2
-			}
-			defer f.Close()
-			ins = append(ins, f)
-		}
-		name = strings.Join(fs.Args(), ", ")
+	if fs.NArg() > 1 {
+		fmt.Fprintln(stderr, "usage: tracestat [flags] [trace.jsonl]")
+		return 2
 	}
-	an, err := obs.AnalyzeTraces(ins, obs.AnalyzeOptions{
+	in, name := stdin, "stdin"
+	if fs.NArg() == 1 {
+		name = fs.Arg(0)
+		f, err := os.Open(name)
+		if err != nil {
+			fmt.Fprintln(stderr, "tracestat:", err)
+			return 2
+		}
+		defer f.Close()
+		in = f
+	}
+	an, err := obs.AnalyzeTrace(in, obs.AnalyzeOptions{
 		StallWindow: *stallWindow,
 		StallTol:    *stallTol,
 	})

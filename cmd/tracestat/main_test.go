@@ -156,53 +156,28 @@ func TestRunMissingFile(t *testing.T) {
 	}
 }
 
-// TestRunMultiFile: several trace files — the shape a distributed run
-// leaves behind as per-worker .wN traces — merge into one analysis with
-// migration summaries aggregated across files.
+// TestRunMultiFile: tracestat analyzes one trace; several file
+// arguments are a usage error (exit 2) that prints usage and no report.
 func TestRunMultiFile(t *testing.T) {
 	dir := t.TempDir()
-	// Worker 0 owns island 0 and logs its outbound edges; worker 1 owns
-	// island 1. Together they reconstruct sampleTrace's migration set,
-	// and the generation records split across the files too.
-	var w0, w1 strings.Builder
-	for g := 1; g <= 8; g++ {
-		w0.WriteString(genLine("a", g, float64(g), 0.1*float64(g), 1000))
-		w1.WriteString(genLine("b", g, 1.0, 0.5, 0))
-	}
-	w0.WriteString(`{"type":"migration","ts":100,"gen":4,"from":0,"to":1,"count":3}` + "\n")
-	w0.WriteString(`{"type":"migration","ts":102,"gen":8,"from":0,"to":1,"count":1}` + "\n")
-	w1.WriteString(`{"type":"migration","ts":101,"gen":4,"from":1,"to":0,"count":2}` + "\n")
-	p0, p1 := dir+"/trace.jsonl.w0", dir+"/trace.jsonl.w1"
-	if err := os.WriteFile(p0, []byte(w0.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(p1, []byte(w1.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var out, errb strings.Builder
-	if code := run([]string{p0, p1}, nil, &out, &errb); code != 0 {
-		t.Fatalf("exit %d, stderr %q", code, errb.String())
-	}
-	got := out.String()
-	for _, want := range []string{
-		p0 + ", " + p1 + ": 16 generation, 3 migration, 0 run record(s)",
-		"label a:",
-		"label b:",
-		// Same ring totals as the single-file sampleTrace analysis:
-		// migrant counts sum and tick skew spans the merged ring.
-		"islands: 2 island(s), 2 migration tick(s), 6 migrant(s), tick skew 4",
-		"island 0: 4 migrant(s) sent, last tick at generation 8",
-		"island 1: 2 migrant(s) sent, last tick at generation 4",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
+	p0, p1 := dir+"/a.jsonl", dir+"/b.jsonl"
+	for _, p := range []string{p0, p1} {
+		if err := os.WriteFile(p, []byte(sampleTrace()), 0o644); err != nil {
+			t.Fatal(err)
 		}
+	}
+	var out, errb strings.Builder
+	if code := run([]string{p0, p1}, nil, &out, &errb); code != 2 {
+		t.Fatalf("exit %d, want 2 (stderr %q)", code, errb.String())
+	}
+	if out.Len() != 0 || !strings.Contains(errb.String(), "usage: tracestat") {
+		t.Fatalf("stdout %q, stderr %q: want usage and no report", out.String(), errb.String())
 	}
 }
 
-// TestRunMultiFileInvalid: a validation failure in a later file names
-// the offending trace by position.
+// TestRunMultiFileInvalid: extra file arguments are rejected before any
+// trace is read, so an invalid second trace still exits 2 (usage), not
+// 1 (invalid trace).
 func TestRunMultiFileInvalid(t *testing.T) {
 	dir := t.TempDir()
 	good, bad := dir+"/good.jsonl", dir+"/bad.jsonl"
@@ -213,11 +188,8 @@ func TestRunMultiFileInvalid(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out, errb strings.Builder
-	if code := run([]string{good, bad}, nil, &out, &errb); code != 1 {
-		t.Fatalf("exit %d, want 1 (stderr %q)", code, errb.String())
-	}
-	if !strings.Contains(errb.String(), "trace 2:") {
-		t.Fatalf("stderr %q does not name the failing trace", errb.String())
+	if code := run([]string{good, bad}, nil, &out, &errb); code != 2 {
+		t.Fatalf("exit %d, want 2 (stderr %q)", code, errb.String())
 	}
 }
 

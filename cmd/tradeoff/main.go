@@ -91,13 +91,11 @@ func main() {
 		islands     = flag.Int("islands", 0, "run the island model with this many populations (0 = single population)")
 		migInterval = flag.Int("migration-interval", 25, "generations between island ring migrations (with -islands)")
 		asyncFlag   = flag.Bool("async", false, "asynchronous island stepping (with -islands; bit-identical results)")
-		distribute  = flag.Int("distribute", 0, "run the islands across this many worker processes (with -islands and -async; bit-identical results)")
-		islandWork  = flag.Int("island-worker", -1, "internal: serve as distributed island worker N over the inherited socket (spawned by -distribute)")
 		snapshotIn  = flag.String("snapshot-in", "", "resume an island run from this snapshot JSON (with -islands)")
 		snapshotOut = flag.String("snapshot-out", "", "write the island run's final state to this snapshot JSON (with -islands)")
 		archiveSize = flag.Int("archive", 0, "bound the reported front to at most this many ε-dominance representatives (0 = full front)")
 		archiveEps  = flag.String("archive-eps", "", "comma-separated ε widths utility,energy for -archive (empty = derived from the front extent)")
-		archSpill   = flag.Int("archive-spill", 0, "with -archive-eps: bound archive memory to this many points, spilling sorted runs to disk (0 = in-memory)")
+		archSpill   = flag.Int("archive-spill", 0, "with -archive: bound archive memory to this many points, spilling sorted runs to disk (0 = in-memory)")
 		machines    = flag.Bool("machines", false, "print the per-machine breakdown of the efficient-region allocation")
 		tracePath   = flag.String("trace", "", "stream per-generation JSONL telemetry to this file")
 		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus-text metrics on this address (e.g. :9090)")
@@ -109,18 +107,7 @@ func main() {
 	)
 	flag.Parse()
 
-	cpuProf, memProf := *cpuProfile, *memProfile
-	if *islandWork >= 0 {
-		// Worker processes profile into their own files next to the
-		// parent's instead of clobbering them.
-		if cpuProf != "" {
-			cpuProf = fmt.Sprintf("%s.w%d", cpuProf, *islandWork)
-		}
-		if memProf != "" {
-			memProf = fmt.Sprintf("%s.w%d", memProf, *islandWork)
-		}
-	}
-	prof, err := startProfiler(cpuProf, memProf)
+	prof, err := startProfiler(*cpuProfile, *memProfile)
 	if err != nil {
 		fatal(err)
 	}
@@ -128,19 +115,9 @@ func main() {
 
 	// The wall clock enters here, at the command layer; internal packages
 	// only ever see the injected obs.Clock.
-	traceOut := *tracePath
-	metricsOut := *metricsAddr
-	if *islandWork >= 0 {
-		// Worker processes stream their own trace next to the parent's;
-		// the single metrics endpoint stays with the parent.
-		if traceOut != "" {
-			traceOut = fmt.Sprintf("%s.w%d", traceOut, *islandWork)
-		}
-		metricsOut = ""
-	}
 	tel, err := telemetry.Setup(telemetry.Config{
-		TracePath:      traceOut,
-		MetricsAddr:    metricsOut,
+		TracePath:      *tracePath,
+		MetricsAddr:    *metricsAddr,
 		PhaseProfile:   *phaseProf,
 		FlightRecorder: *flightRec,
 		Clock:          func() int64 { return time.Now().UnixNano() },
@@ -257,21 +234,6 @@ func main() {
 
 		ArchiveSpillBudget: *archSpill,
 	}
-	if *islandWork >= 0 {
-		// Distributed worker mode: serve our island shard over the
-		// inherited socket and exit. The parent owns stdout and all
-		// result reporting; the worker only streams its own trace.
-		if err := serveIslandWorker(fw, opts, *islandWork, *distribute, tel); err != nil {
-			fatal(err)
-		}
-		if err := tel.Close(); err != nil {
-			fatal(err)
-		}
-		if err := prof.stop(); err != nil {
-			fatal(err)
-		}
-		return
-	}
 	fmt.Printf("analyzing %s: %d tasks over %.0f s on %d machines\n",
 		name, fw.Trace().NumTasks(), fw.Trace().Window, fw.System().NumMachines())
 	if *snapshotIn != "" {
@@ -287,12 +249,7 @@ func main() {
 		fmt.Printf("resuming from %s at generation %d\n", *snapshotIn, snap.Generation)
 	}
 	opts.CaptureSnapshot = *snapshotOut != ""
-	var res *core.Result
-	if *distribute > 0 {
-		res, err = runDistributed(fw, opts, *distribute, tel)
-	} else {
-		res, err = fw.Optimize(opts)
-	}
+	res, err := fw.Optimize(opts)
 	if err != nil {
 		fatal(err)
 	}

@@ -98,8 +98,8 @@ type Options struct {
 	// AsyncIslands selects asynchronous steady-state island stepping:
 	// each island advances on its own goroutine under a logical-clock
 	// migration schedule with no per-generation barrier. Results and
-	// telemetry are bit-identical to synchronous stepping; only
-	// meaningful with Islands > 1. See internal/nsga2.
+	// telemetry are bit-identical to synchronous stepping. Needs
+	// Islands > 1. See internal/nsga2.
 	AsyncIslands bool
 	// ArchiveSize, when > 0, bounds the returned front: the final
 	// rank-1 points are filtered through an ε-dominance archive keeping
@@ -109,10 +109,11 @@ type Options struct {
 	// thousands of near-duplicate points.
 	ArchiveSize int
 	// ArchiveEpsilon gives the per-objective ε box widths
-	// (utility, energy) for ArchiveSize; empty derives each width from
-	// the front's own extent divided by ArchiveSize.
+	// (utility, energy) for ArchiveSize (needs ArchiveSize > 0); empty
+	// derives each width from the front's own extent divided by
+	// ArchiveSize.
 	ArchiveEpsilon []float64
-	// ArchiveSpillBudget, when > 0 (with ArchiveSize), compacts the
+	// ArchiveSpillBudget, when > 0 (needs ArchiveSize > 0), compacts the
 	// front through a disk-spilling streaming ε-archive instead of the
 	// in-memory one: at most ArchiveSpillBudget points are held in
 	// memory at a time and sorted runs spill to a temp file, keeping
@@ -127,8 +128,8 @@ type Options struct {
 	// to never having paused. Only meaningful with Islands > 1.
 	Resume *nsga2.IslandsSnapshot
 	// CaptureSnapshot records the island run's final state in
-	// Result.FinalSnapshot, from which a later run (in-process or
-	// distributed) can resume. Only meaningful with Islands > 1.
+	// Result.FinalSnapshot, from which a later run can resume. Only
+	// meaningful with Islands > 1.
 	CaptureSnapshot bool
 	// Observer, when non-nil, receives run telemetry: per-generation
 	// front/indicator/evaluation events from a single-population run, or
@@ -169,8 +170,8 @@ type Result struct {
 
 // Optimize runs NSGA-II and returns the analyzed result.
 func (f *Framework) Optimize(opts Options) (*Result, error) {
-	if opts.Generations <= 0 {
-		return nil, fmt.Errorf("core: Generations %d, want > 0", opts.Generations)
+	if err := validateOptions(opts); err != nil {
+		return nil, err
 	}
 	if opts.RandomSeed == 0 {
 		opts.RandomSeed = 1
@@ -187,13 +188,7 @@ func (f *Framework) Optimize(opts Options) (*Result, error) {
 		seeds = append(seeds, a)
 	}
 	if opts.Islands > 1 {
-		if len(opts.Checkpoints) > 0 {
-			return nil, fmt.Errorf("core: checkpoints are not supported with islands")
-		}
 		return f.optimizeIslands(opts, seeds)
-	}
-	if opts.Resume != nil || opts.CaptureSnapshot {
-		return nil, fmt.Errorf("core: snapshot resume/capture needs Islands > 1")
 	}
 	eng, err := nsga2.New(f.eval, nsga2.Config{
 		PopulationSize: opts.PopulationSize,
@@ -233,14 +228,38 @@ func (f *Framework) Optimize(opts Options) (*Result, error) {
 	return res, nil
 }
 
+// validateOptions rejects values and combinations Optimize would
+// otherwise ignore without a word, naming the offending field.
+func validateOptions(opts Options) error {
+	switch {
+	case opts.Generations <= 0:
+		return fmt.Errorf("core: Generations %d, want > 0", opts.Generations)
+	case opts.Islands < 0:
+		return fmt.Errorf("core: Islands %d, want >= 0", opts.Islands)
+	case opts.AsyncIslands && opts.Islands <= 1:
+		return fmt.Errorf("core: AsyncIslands needs Islands > 1, have %d", opts.Islands)
+	case (opts.Resume != nil || opts.CaptureSnapshot) && opts.Islands <= 1:
+		return fmt.Errorf("core: snapshot resume/capture needs Islands > 1")
+	case len(opts.Checkpoints) > 0 && opts.Islands > 1:
+		return fmt.Errorf("core: checkpoints are not supported with islands")
+	case opts.ArchiveSize < 0:
+		return fmt.Errorf("core: ArchiveSize %d, want >= 0", opts.ArchiveSize)
+	case opts.ArchiveSpillBudget < 0:
+		return fmt.Errorf("core: ArchiveSpillBudget %d, want >= 0", opts.ArchiveSpillBudget)
+	case opts.ArchiveSpillBudget > 0 && opts.ArchiveSize == 0:
+		return fmt.Errorf("core: ArchiveSpillBudget needs ArchiveSize > 0")
+	case len(opts.ArchiveEpsilon) > 0 && opts.ArchiveSize == 0:
+		return fmt.Errorf("core: ArchiveEpsilon needs ArchiveSize > 0")
+	}
+	return nil
+}
+
 // FinishFront assembles a Result from a final rank-1 front: it sorts by
 // increasing energy (stably, carrying allocations along), deduplicates
 // identical objective pairs, and applies the shared post-processing
 // (optional ε-archive compaction, UPE region, hypervolume). It is the
-// common tail of every optimization mode — single population, islands,
-// and the distributed island coordinator, whose merged worker fronts
-// enter here so a distributed run's Result is assembled exactly like an
-// in-process one.
+// common tail of both optimization modes, single population and
+// islands.
 func (f *Framework) FinishFront(front []nsga2.Individual, opts Options) (*Result, error) {
 	if opts.UPETolerance == 0 {
 		opts.UPETolerance = 0.05
@@ -370,10 +389,8 @@ func deriveEpsilon(front []analysis.FrontPoint, size int) []float64 {
 
 // IslandConfig builds the nsga2.IslandConfig an island-model run of
 // these Options uses, including seed allocations built from
-// opts.Seeds. Distributed island workers and their coordinator both
-// derive their configuration here, so every process in a distributed
-// run agrees on the exact engine parameters an in-process run would
-// use — the precondition for bit-identical results.
+// opts.Seeds, so a caller that drives nsga2.NewIslands itself runs
+// with exactly the engine parameters Optimize would use.
 func (f *Framework) IslandConfig(opts Options) (nsga2.IslandConfig, error) {
 	var seeds []*sched.Allocation
 	for _, h := range opts.Seeds {

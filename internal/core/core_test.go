@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"tradeoff/internal/data"
@@ -313,5 +314,43 @@ func TestOptimizeIslandsRejectsCheckpoints(t *testing.T) {
 	_, err := f.Optimize(Options{Generations: 5, PopulationSize: 4, Islands: 2, Checkpoints: []int{3}})
 	if err == nil {
 		t.Fatal("checkpoints with islands accepted")
+	}
+}
+
+// TestOptimizeRejectsIgnoredOptions: values and combinations Optimize
+// would otherwise ignore without a word are errors that name the field,
+// and their valid neighbours still run.
+func TestOptimizeRejectsIgnoredOptions(t *testing.T) {
+	f := newFramework(t, 20)
+	base := Options{Generations: 2, PopulationSize: 4}
+	for _, tc := range []struct {
+		name  string
+		edit  func(*Options)
+		field string // "" = must succeed
+	}{
+		{"async-single-population", func(o *Options) { o.AsyncIslands = true }, "AsyncIslands"},
+		{"async-one-island", func(o *Options) { o.Islands, o.AsyncIslands = 1, true }, "AsyncIslands"},
+		{"negative-islands", func(o *Options) { o.Islands = -1 }, "Islands"},
+		{"negative-archive", func(o *Options) { o.ArchiveSize = -1 }, "ArchiveSize"},
+		{"spill-without-archive", func(o *Options) { o.ArchiveSpillBudget = 10 }, "ArchiveSpillBudget"},
+		{"negative-spill", func(o *Options) { o.ArchiveSize, o.ArchiveSpillBudget = 3, -1 }, "ArchiveSpillBudget"},
+		{"epsilon-without-archive", func(o *Options) { o.ArchiveEpsilon = []float64{1, 1} }, "ArchiveEpsilon"},
+		{"async-islands", func(o *Options) { o.Islands, o.AsyncIslands = 2, true }, ""},
+		{"spill-with-archive", func(o *Options) { o.ArchiveSize, o.ArchiveSpillBudget = 3, 10 }, ""},
+		{"epsilon-with-archive", func(o *Options) { o.ArchiveSize, o.ArchiveEpsilon = 3, []float64{1, 1} }, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := base
+			tc.edit(&opts)
+			_, err := f.Optimize(opts)
+			switch {
+			case tc.field == "" && err != nil:
+				t.Fatalf("valid options rejected: %v", err)
+			case tc.field != "" && err == nil:
+				t.Fatalf("accepted; want an error naming %s", tc.field)
+			case tc.field != "" && !strings.Contains(err.Error(), tc.field):
+				t.Fatalf("error %q does not name %s", err, tc.field)
+			}
+		})
 	}
 }

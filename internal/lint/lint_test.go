@@ -250,40 +250,6 @@ func TestPhaseTimerFixture(t *testing.T) {
 	checkGolden(t, negDir, negLines)
 }
 
-// TestDistWireFixture golden-checks the distributed wire codec shape
-// (DESIGN.md §15): the positive fixture seeds the violations a naive
-// migration codec invites — an encode/decode pair that silently drops a
-// payload field, map-ordered mailbox flushing, and hot-path
-// send/receive with unguarded appends and per-frame formatting — and
-// each must fire; the negative fixture is internal/dist's real shape
-// (symmetric field coverage, ring-ordered flushing, reset-guarded frame
-// buffers, cold-path error construction) and must stay silent.
-func TestDistWireFixture(t *testing.T) {
-	posDir := filepath.Join("testdata", "distwire", "pos")
-	posLines := runFixture(t, posDir, Analyzers())
-	for _, want := range []string{"snapshotcover", "maprange", "hotalloc"} {
-		found := false
-		for _, l := range posLines {
-			if strings.Contains(l, ": "+want+": ") {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("positive distwire fixture did not trigger %s:\n%s",
-				want, strings.Join(posLines, "\n"))
-		}
-	}
-	checkGolden(t, posDir, posLines)
-	negDir := filepath.Join("testdata", "distwire", "neg")
-	negLines := runFixture(t, negDir, Analyzers())
-	if len(negLines) != 0 {
-		t.Errorf("negative distwire fixture produced diagnostics:\n%s",
-			strings.Join(negLines, "\n"))
-	}
-	checkGolden(t, negDir, negLines)
-}
-
 // TestSuppress checks //detlint:allow: two excused wall-clock reads stay
 // silent, the third is reported.
 func TestSuppress(t *testing.T) {

@@ -125,7 +125,7 @@ func TestMutations(t *testing.T) {
 			// constant index: every async island now races on one cell.
 			name:     "sharedstate_constant_slot",
 			analyzer: "sharedstate",
-			file:     "internal/nsga2/shard.go",
+			file:     "internal/nsga2/islands.go",
 			old:      "recs[i][t] = captureShard",
 			new:      "recs[0][0] = captureShard",
 			want:     "goroutine writes captured recs without per-slot confinement",

@@ -2,6 +2,8 @@ package nsga2
 
 import (
 	"fmt"
+	"runtime/debug"
+	"sort"
 	"sync"
 
 	"tradeoff/internal/moea"
@@ -61,23 +63,6 @@ func (c *IslandConfig) fillAndValidate() error {
 	return nil
 }
 
-// Normalized returns the configuration with the same defaults applied
-// that NewIslands and NewIslandShard apply internally (island count,
-// migration interval, migrant count, engine population). A distributed
-// coordinator needs the normalized values to agree with its workers on
-// the migration tick schedule and aggregated stats shape without
-// re-implementing the defaulting rules.
-func (c IslandConfig) Normalized() (IslandConfig, error) {
-	if err := c.fillAndValidate(); err != nil {
-		return c, err
-	}
-	c.Engine.fillDefaults()
-	if err := c.Engine.validate(); err != nil {
-		return c, err
-	}
-	return c, nil
-}
-
 // Islands is an island-model NSGA-II run.
 type Islands struct {
 	cfg        IslandConfig
@@ -87,7 +72,7 @@ type Islands struct {
 	observer   obs.Observer
 	// aggBase holds the cross-island counter sums at the last emitted
 	// shard-stats event, so each migration tick reports per-tick diffs.
-	aggBase ShardTick
+	aggBase shardTick
 	// phase is the shared phase profiler (nil when profiling is off):
 	// every engine records into the same timer via atomic adds, and the
 	// island layer itself attributes ring-migration time to
@@ -140,8 +125,8 @@ func (is *Islands) SetHealth(b *obs.IslandBoard) {
 }
 
 // sumShards captures and sums every island's current counters.
-func (is *Islands) sumShards() ShardTick {
-	var agg ShardTick
+func (is *Islands) sumShards() shardTick {
+	var agg shardTick
 	for _, eng := range is.engines {
 		agg.Add(captureShard(eng, 0))
 	}
@@ -149,13 +134,24 @@ func (is *Islands) sumShards() ShardTick {
 }
 
 // emitShardStats diffs the aggregated counters against the previous
-// tick's baseline and emits one GenerationStats labeled "islands"
-// (assembled by ShardStatsEvent, shared with the distributed
-// coordinator).
-func (is *Islands) emitShardStats(gen int, agg ShardTick) {
-	is.observer.ObserveGeneration(ShardStatsEvent(
-		gen, is.engines[0].cfg.PopulationSize*len(is.engines),
-		is.engines[0].eval.NumMachines(), agg, is.aggBase))
+// tick's baseline and emits one GenerationStats labeled "islands". The
+// front and indicator fields stay empty: a merged front at an interior
+// tick is not observable in the asynchronous mode, and both stepping
+// modes must emit identical sequences.
+func (is *Islands) emitShardStats(gen int, agg shardTick) {
+	diff := agg.Sess
+	diff.Sub(is.aggBase.Sess)
+	is.observer.ObserveGeneration(obs.GenerationStats{
+		Label:             "islands",
+		Generation:        gen,
+		Population:        is.engines[0].cfg.PopulationSize * len(is.engines),
+		FullEvals:         int(diff.Evals),
+		MachinesSimulated: int(diff.Machines),
+		TypedTasks:        int(diff.Tasks),
+		ArenaInUse:        agg.ArenaInUse,
+		ArenaSlots:        agg.ArenaSlots,
+		NumMachines:       is.engines[0].eval.NumMachines(),
+	})
 	is.aggBase = agg
 }
 
@@ -277,7 +273,7 @@ func (is *Islands) Run(generations int) {
 // per-generation barrier. Coordination happens only at logical-clock
 // migration ticks — generations that are multiples of the migration
 // interval. At its tick an island sends the elites of its own
-// post-step state into its out-edge mailbox, then blocks until its
+// post-step state into its out edge, then blocks until its
 // predecessor's same-tick migrants arrive, and injects them
 // (send-before-receive keeps the ring deadlock-free; the buffered edge
 // lets a fast island run one full interval ahead of its successor).
@@ -300,24 +296,13 @@ func (is *Islands) runAsync(generations int) {
 	interval := is.cfg.MigrationInterval
 	start := is.generation
 	target := start + generations
-	firstTick, nticks := RingTicks(start, target, interval, is.cfg.Migrants, k)
-	abort := newRingAbort()
-	mail := make([]Mailbox, k)
-	global := make([]int, k)
-	for i := 0; i < k; i++ {
-		mail[i] = newChanMailbox(abort)
-		global[i] = i
+	// Logical migration ticks in (start, target]; none when the ring
+	// has a single island or sends no migrants.
+	firstTick, nticks := (start/interval+1)*interval, 0
+	if is.cfg.Migrants > 0 && k > 1 {
+		nticks = target/interval - start/interval
 	}
-	ins := make([]Mailbox, k)
-	for i := 0; i < k; i++ {
-		ins[i] = mail[(i+k-1)%k]
-	}
-	recs, err := runRing(is.engines, global, ins, mail, abort,
-		start, target, interval, is.cfg.Migrants, nticks, is.phase, is.health)
-	if err != nil {
-		// Channel-backed edges cannot fail; any error here is a bug.
-		panic(fmt.Sprintf("nsga2: in-process ring failed: %v", err))
-	}
+	recs := runRing(is.engines, start, target, interval, is.cfg.Migrants, nticks, is.phase, is.health)
 	is.generation = target
 	if is.observer == nil {
 		return
@@ -327,7 +312,7 @@ func (is *Islands) runAsync(generations int) {
 	// the synchronous mode produces inline.
 	for t := 0; t < nticks; t++ {
 		gen := firstTick + t*interval
-		var agg ShardTick
+		var agg shardTick
 		for i := 0; i < k; i++ {
 			is.observer.ObserveMigration(obs.MigrationEvent{
 				Generation: gen,
@@ -367,5 +352,179 @@ func (is *Islands) ParetoFront() []Individual {
 	for _, eng := range is.engines {
 		union = append(union, eng.ParetoFront()...)
 	}
-	return MergeFronts(is.space, union)
+	if len(union) == 0 {
+		return nil
+	}
+	points := make([][]float64, len(union))
+	for i := range union {
+		points[i] = union[i].Objectives
+	}
+	keep := is.space.ParetoFront(points)
+	out := make([]Individual, len(keep))
+	for i, idx := range keep {
+		out[i] = union[idx]
+	}
+	sort.SliceStable(out, func(a, b int) bool {
+		x, y := out[a].Objectives[0], out[b].Objectives[0]
+		if is.space.Senses[0] == moea.Maximize {
+			return x > y
+		}
+		return x < y
+	})
+	return out
+}
+
+// shardTick is one island's cumulative counters captured at a logical
+// migration tick (or the cross-island sum of them), from which the
+// per-tick "islands" shard stats are diffed.
+type shardTick struct {
+	// Sess is the engine's cumulative evaluation-session counters.
+	Sess sched.Stats
+	// Arena occupancy at the tick.
+	ArenaInUse, ArenaSlots int
+	// Migrants is the elite count this island sent at the tick (not
+	// summed by Add: aggregated sums report per-edge counts separately).
+	Migrants int
+}
+
+// Add accumulates o into t (arena sizes sum across islands; Migrants
+// stays per-island).
+//
+//detlint:hotpath
+func (t *shardTick) Add(o shardTick) {
+	t.Sess.Add(o.Sess)
+	t.ArenaInUse += o.ArenaInUse
+	t.ArenaSlots += o.ArenaSlots
+}
+
+// captureShard reads one engine's cumulative counters. In async runs
+// each island captures its own counters on its own goroutine; the
+// values depend only on that island's deterministic history, never on
+// interleaving.
+//
+//detlint:hotpath
+func captureShard(eng *Engine, sent int) shardTick {
+	ts := shardTick{Sess: eng.sessionStats(), Migrants: sent}
+	ts.ArenaInUse, ts.ArenaSlots = eng.arena.occupancy()
+	return ts
+}
+
+// ringAbort broadcasts a ring-wide cancellation, so islands blocked on
+// a ring edge wake when a sibling island panics.
+type ringAbort struct {
+	once sync.Once
+	ch   chan struct{}
+}
+
+// trip closes the broadcast channel once; a nil *ringAbort is a no-op.
+func (a *ringAbort) trip() {
+	if a != nil {
+		a.once.Do(func() { close(a.ch) })
+	}
+}
+
+// runRing advances the islands under the asynchronous logical-clock
+// schedule: every island steps on its own goroutine with no
+// per-generation barrier, and at each of the nticks logical migration
+// ticks sends the elites of its own post-step state into its out edge
+// before blocking on its in edge (send-before-receive keeps the ring
+// deadlock-free). Edge i is a one-deep channel from island i to island
+// i+1 (mod n), so a fast island can run a full migration interval ahead
+// of its successor. recs[i][t] captures island i's counters at its
+// t-th tick. A panic on an island goroutine aborts the ring, so peers
+// blocked on an edge wake; once every island has returned, the
+// lowest-indexed island's panic is re-raised on the caller as an
+// *IslandPanic.
+func runRing(engines []*Engine, start, target, interval, migrants, nticks int,
+	phase *obs.PhaseTimer, health *obs.IslandBoard) [][]shardTick {
+	n := len(engines)
+	edges := make([]chan []Individual, n)
+	recs := make([][]shardTick, n)
+	for i := 0; i < n; i++ {
+		edges[i] = make(chan []Individual, 1)
+		recs[i] = make([]shardTick, nticks)
+	}
+	abort := &ringAbort{ch: make(chan struct{})}
+	panics := make([]*IslandPanic, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			defer capturePanic(i, panics, abort)
+			eng, out, in := engines[i], edges[i], edges[(i+n-1)%n]
+			t := 0
+			for g := start + 1; g <= target; g++ {
+				eng.Step()
+				if nticks == 0 || g%interval != 0 {
+					continue
+				}
+				// Elites reflect this island's own post-step,
+				// pre-injection state, exactly as in the synchronous
+				// collect-then-inject phase. The PhaseMigration bracket
+				// includes the ring-edge wait — in the async mode that
+				// wait IS the migration cost.
+				t0 := phase.Start()
+				elites := eng.Elites(migrants)
+				health.SetMailboxDepth(i, len(out)+1)
+				select {
+				case out <- elites:
+				case <-abort.ch:
+					return
+				}
+				var inbound []Individual
+				select {
+				case inbound = <-in:
+				case <-abort.ch:
+					return
+				}
+				if err := eng.Inject(inbound); err != nil {
+					panic(fmt.Sprintf("nsga2: ring migration failed: %v", err))
+				}
+				phase.Record(obs.PhaseMigration, t0)
+				health.SetMailboxDepth(i, len(out))
+				health.SetTick(i, g)
+				recs[i][t] = captureShard(eng, len(elites))
+				t++
+			}
+		}(i)
+	}
+	wg.Wait()
+	raiseFirst(panics)
+	return recs
+}
+
+// IslandPanic is a panic raised on an island's goroutine, re-raised on
+// the goroutine that ran the islands. Island is the island's index in
+// the ring, Value the original panic value (a *WorkerPanic when one of
+// the island engine's fan-out workers panicked) and Stack the island
+// goroutine's stack when it panicked.
+type IslandPanic struct {
+	Island int
+	Value  any
+	Stack  []byte
+}
+
+func (p *IslandPanic) Error() string {
+	return fmt.Sprintf("nsga2: island %d panicked: %v\n\nisland goroutine stack:\n%s", p.Island, p.Value, p.Stack)
+}
+
+// capturePanic, deferred on island goroutine i, records a panic in
+// panics[i] and trips abort (which may be nil).
+func capturePanic(i int, panics []*IslandPanic, abort *ringAbort) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	panics[i] = &IslandPanic{Island: i, Value: r, Stack: debug.Stack()}
+	abort.trip()
+}
+
+// raiseFirst re-raises the lowest-indexed captured island panic, if any.
+func raiseFirst(panics []*IslandPanic) {
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 }

@@ -93,18 +93,3 @@ func TestIslandPanicReachesCaller(t *testing.T) {
 		})
 	}
 }
-
-// TestIslandShardPanicNamesGlobalIsland: a shard names the panicking
-// island by its position in the full ring, not within the shard.
-func TestIslandShardPanicNamesGlobalIsland(t *testing.T) {
-	cfg := asyncCfg(4, 100, 1, 8, 1) // no tick within the run: no boundary edges
-	shard, err := NewIslandShard(newEval(t, 30), cfg, rng.New(3), 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	panicAfter(shard.engines[1], 8)
-	r := runIslandsRecovering(t, func() { _, _ = shard.Run(3, nil, nil) })
-	if ip, ok := r.(*IslandPanic); !ok || ip.Island != 3 {
-		t.Fatalf("recovered %T %v, want *IslandPanic for island 3", r, r)
-	}
-}

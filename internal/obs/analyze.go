@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"sort"
 )
@@ -258,31 +257,12 @@ func (a *traceAnalyzer) finish() *TraceAnalysis {
 // the fields later analytics use, so phase rollups and cache trends
 // degrade gracefully on old traces.
 func AnalyzeTrace(r io.Reader, opts AnalyzeOptions) (*TraceAnalysis, error) {
-	return AnalyzeTraces([]io.Reader{r}, opts)
-}
-
-// AnalyzeTraces merges the analysis of several traces — typically a
-// distributed run's parent trace plus its per-worker traces. Each trace
-// is validated independently; the analysis accumulators are shared, so
-// migration summaries aggregate across files: per-island migrant counts
-// sum, Ticks is the union of migration generations, and TickSkew spans
-// the merged ring, exposing an island left behind by a straggling
-// worker no matter whose trace recorded it. Validation errors carry the
-// failing reader's index.
-func AnalyzeTraces(rs []io.Reader, opts AnalyzeOptions) (*TraceAnalysis, error) {
 	a := newTraceAnalyzer(opts)
-	for i, r := range rs {
-		sum, err := scanTrace(r, func(_ int, rec *traceRecord) { a.consume(rec) })
-		if err != nil {
-			if len(rs) > 1 {
-				return nil, fmt.Errorf("trace %d: %w", i+1, err)
-			}
-			return nil, err
-		}
-		a.an.Records.Generations += sum.Generations
-		a.an.Records.Migrations += sum.Migrations
-		a.an.Records.Runs += sum.Runs
+	sum, err := scanTrace(r, func(_ int, rec *traceRecord) { a.consume(rec) })
+	if err != nil {
+		return nil, err
 	}
+	a.an.Records = sum
 	return a.finish(), nil
 }
 

@@ -8,9 +8,7 @@ package obs
 type Metrics struct {
 	generations       *Counter
 	fullEvals         *Counter
-	deltaEvals        *Counter
 	machinesSimulated *Counter
-	machinesInherited *Counter
 	migrations        *Counter
 	migrants          *Counter
 	runs              *Counter
@@ -45,9 +43,7 @@ func NewMetrics(r *Registry) *Metrics {
 	m := &Metrics{
 		generations:       r.Counter("tradeoff_generations_total", "NSGA-II generations stepped"),
 		fullEvals:         r.Counter("tradeoff_full_evals_total", "offspring evaluations"),
-		deltaEvals:        r.Counter("tradeoff_delta_evals_total", "offspring evaluated by the delta kernel"),
 		machinesSimulated: r.Counter("tradeoff_machines_simulated_total", "machine queues simulated during evaluation"),
-		machinesInherited: r.Counter("tradeoff_machines_inherited_total", "machine contribution rows inherited from parent caches"),
 		migrations:        r.Counter("tradeoff_migrations_total", "island migration edges performed"),
 		migrants:          r.Counter("tradeoff_migrants_total", "individuals migrated between islands"),
 		runs:              r.Counter("tradeoff_runs_total", "completed experiment runs"),
@@ -72,9 +68,7 @@ func NewMetrics(r *Registry) *Metrics {
 func (m *Metrics) ObserveGeneration(g GenerationStats) {
 	m.generations.Inc()
 	m.fullEvals.Add(uint64(g.FullEvals))
-	m.deltaEvals.Add(uint64(g.DeltaEvals))
 	m.machinesSimulated.Add(uint64(g.MachinesSimulated))
-	m.machinesInherited.Add(uint64(g.MachinesInherited))
 	m.arenaOccupancy.Set(g.ArenaOccupancy())
 	m.hypervolume.Set(g.Indicators.Hypervolume)
 	m.epsilon.Set(g.Indicators.Epsilon)

@@ -201,11 +201,23 @@ func TestMetricsObserver(t *testing.T) {
 	})
 	m.ObserveMigration(MigrationEvent{From: 0, To: 1, Count: 2})
 	m.ObserveRun(RunEvent{Dataset: "ds1"})
-	if m.generations.Value() != 1 || m.fullEvals.Value() != 1 || m.deltaEvals.Value() != 3 {
+	if m.generations.Value() != 1 || m.fullEvals.Value() != 1 {
 		t.Fatal("generation counters wrong")
 	}
-	if m.machinesSimulated.Value() != 10 || m.machinesInherited.Value() != 30 {
+	if m.machinesSimulated.Value() != 10 {
 		t.Fatal("machine counters wrong")
+	}
+	// The delta-kernel and parent-inheritance layers are gone: their
+	// GenerationStats fields survive for the v4 trace schema, but no
+	// metric exports them.
+	var text strings.Builder
+	if err := r.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, gone := range []string{"tradeoff_delta_evals_total", "tradeoff_machines_inherited_total"} {
+		if strings.Contains(text.String(), gone) {
+			t.Errorf("registry still exports %s", gone)
+		}
 	}
 	if m.hypervolume.Value() != 12.5 || m.epsilon.Value() != -0.5 || m.frontSize.Value() != 3 {
 		t.Fatal("indicator gauges wrong")

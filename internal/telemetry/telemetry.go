@@ -146,16 +146,6 @@ func (s *Session) IslandBoard(islands int) *obs.IslandBoard {
 	return obs.NewIslandBoard(s.registry, islands)
 }
 
-// DistBoard registers wire-health metrics for a distributed island
-// run, or returns nil when metrics are off or workers < 1. Call at
-// most once per session (metric names are registered on first call).
-func (s *Session) DistBoard(workers int) *obs.DistBoard {
-	if s == nil || s.registry == nil || workers < 1 {
-		return nil
-	}
-	return obs.NewDistBoard(s.registry, workers)
-}
-
 // MetricsURL returns the resolved base URL of the metrics server, or ""
 // when it is off. Useful when the configured address had port 0.
 func (s *Session) MetricsURL() string {
